@@ -8,7 +8,7 @@ Text syntax for the literal-set view: comma-separated literals, e.g.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InconsistentAssignmentError, ParseError
 from .formula import (
@@ -137,9 +137,15 @@ def extensions(mu: Assignment, atom_set: Iterable[Atom]) -> Iterator[Assignment]
     if escaped:
         names = ", ".join(sorted(a.name for a in escaped))
         raise ValueError(f"assignment binds atoms outside the universe: {names}")
-    unassigned = sorted(universe - mu.domain)
-    for values in product((True, False), repeat=len(unassigned)):
-        yield mu.union(Assignment(dict(zip(unassigned, values))))
+    for rest in total_assignments(sorted(universe - mu.domain)):
+        yield mu.union(rest)
+
+
+def total_assignments(ordered: Sequence[Atom]) -> Iterator[Assignment]:
+    """All total assignments over `ordered`, lexicographic in the order
+    given: the first atom varies slowest, true before false per atom."""
+    for values in product((True, False), repeat=len(ordered)):
+        yield Assignment(dict(zip(ordered, values)))
 
 
 def parse_assignment(text: str) -> Assignment:

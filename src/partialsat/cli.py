@@ -425,6 +425,9 @@ def run(argv: list[str]) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except RecursionError:
+        print("error: formula nesting exceeds the recursion limit", file=sys.stderr)
+        return 3
     except (PartialSatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

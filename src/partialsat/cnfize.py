@@ -11,9 +11,8 @@ delta to exhibit exactly that gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
-from .assignment import Assignment
+from .assignment import Assignment, total_assignments
 from .errors import ResourceLimitError
 from .formula import (
     And,
@@ -214,8 +213,7 @@ def _fresh_sweep(
             f"sweeping {len(fresh)} fresh atoms exceeds the cap of "
             f"{limits.sweep_cap(cap)}"
         )
-    for bits in product((True, False), repeat=len(fresh)):
-        yield Assignment(dict(zip(fresh, bits)))
+    return total_assignments(fresh)
 
 
 def _guard_fresh_collision(mu: Assignment, fresh: tuple[Atom, ...]) -> None:

@@ -394,11 +394,13 @@ def as_literal(f: Formula) -> Literal | None:
 
 def _flatten(f: Formula, node_type: type) -> Iterator[Formula]:
     """Leaves of a tree of `node_type` nodes, left to right, any association."""
-    if isinstance(f, node_type):
-        yield from _flatten(f.left, node_type)
-        yield from _flatten(f.right, node_type)
-    else:
-        yield f
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, node_type):
+            stack += (node.right, node.left)
+        else:
+            yield node
 
 
 def clause_literals(f: Formula) -> list[Literal] | None:

@@ -10,9 +10,8 @@ the plain checks applied to the Shannon expansion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
-from .assignment import Assignment, extensions
+from .assignment import Assignment, total_assignments
 from .errors import ParseError, ResourceLimitError
 from .formula import (
     Atom,
@@ -28,7 +27,7 @@ from .formula import (
     TokenStream,
 )
 from .partial_sat import validates
-from .semantics import residual, sat_total
+from .semantics import first_block, residual, sat_total  # noqa: F401 (perfbench wraps it)
 from . import limits
 
 
@@ -91,11 +90,6 @@ def _guard_bound_domain(mu: Assignment, ef: ExistentialFormula) -> None:
         )
 
 
-def _delta_sweep(ordered: list[Atom]):
-    for bits in product((True, False), repeat=len(ordered)):
-        yield Assignment(dict(zip(ordered, bits)))
-
-
 def _tidy_disjunct(d: Formula) -> Formula:
     """Drop clauses subsumed by (or duplicating) another clause of a CNF
     disjunct; non-CNF disjuncts are left alone."""
@@ -138,7 +132,7 @@ def shannon_expand(
     _check_quantified_cap(len(ef.quantified), expansion_cap)
     ordered = sorted(ef.quantified)
     disjuncts = []
-    for delta in _delta_sweep(ordered):
+    for delta in total_assignments(ordered):
         d = _tidy_disjunct(residual(ef.matrix, delta))
         if d == FALSE and not keep_bot_disjuncts:
             continue
@@ -155,7 +149,7 @@ def exists_validates(
     delta over the bound atoms makes mu ∪ delta validate the matrix."""
     _guard_bound_domain(mu, ef)
     _check_quantified_cap(len(ef.quantified), expansion_cap)
-    for delta in _delta_sweep(sorted(ef.quantified)):
+    for delta in total_assignments(sorted(ef.quantified)):
         if validates(mu.union(delta), ef.matrix):
             return True, delta
     return False, None
@@ -171,24 +165,18 @@ def exists_entails(
     satisfying the matrix; on failure the first counterexample eta is
     returned.
 
-    The delta may differ per eta, so this iterates both sweeps directly
-    instead of materializing the Shannon expansion.
+    The delta may differ per eta: in one truth table over the unassigned
+    free atoms then the bound ones, eta fails iff its 2^|B|-row block is
+    empty.
     """
     _guard_bound_domain(mu, ef)
     _check_quantified_cap(len(ef.quantified), expansion_cap)
-    universe = ef.free_atoms | mu.domain
-    unassigned = len(universe - mu.domain)
+    unassigned = sorted(ef.free_atoms - mu.domain)
     limit = limits.max_atoms(atom_cap)
-    if unassigned > limit:
+    if len(unassigned) > limit:
         raise ResourceLimitError(
-            f"sweeping {unassigned} unassigned free atoms exceeds the cap "
+            f"sweeping {len(unassigned)} unassigned free atoms exceeds the cap "
             f"of {limit}"
         )
-    ordered = sorted(ef.quantified)
-    for eta in extensions(mu, universe):
-        if not any(
-            sat_total(ef.matrix, eta.union(delta))
-            for delta in _delta_sweep(ordered)
-        ):
-            return False, eta
-    return True, None
+    eta = first_block(ef.matrix, unassigned, sorted(ef.quantified), mu)
+    return (True, None) if eta is None else (False, eta)

@@ -1,5 +1,6 @@
 """Three-valued evaluation, residuals, total-assignment satisfaction, and
-brute-force validity/equivalence oracles.
+brute-force validity/equivalence oracles, which evaluate a formula on every
+row of a sweep at once as a truth table: one Python int, a bit per row.
 
 eval3 treats unbound atoms as unknown (U); residual substitutes bound atoms
 and propagates constants through the connectives, nothing more (no
@@ -9,9 +10,9 @@ outcomes).
 from __future__ import annotations
 
 import enum
-from itertools import product
+import functools
 
-from .assignment import Assignment
+from .assignment import EMPTY_ASSIGNMENT, Assignment, total_assignments
 from .errors import ResourceLimitError
 from .formula import (
     And,
@@ -171,22 +172,106 @@ def residual(f: Formula, mu: Assignment) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _eval_bool(f: Formula, binding: dict[Atom, bool]) -> bool:
-    if isinstance(f, Const):
-        return f.value
-    if isinstance(f, AtomRef):
-        return binding[f.atom]
-    if isinstance(f, Not):
-        return not _eval_bool(f.arg, binding)
-    if isinstance(f, And):
-        return _eval_bool(f.left, binding) and _eval_bool(f.right, binding)
-    if isinstance(f, Or):
-        return _eval_bool(f.left, binding) or _eval_bool(f.right, binding)
-    if isinstance(f, Implies):
-        return (not _eval_bool(f.left, binding)) or _eval_bool(f.right, binding)
-    if isinstance(f, Iff):
-        return _eval_bool(f.left, binding) == _eval_bool(f.right, binding)
-    raise TypeError(f"not a formula: {f!r}")
+# Widest table the kernel builds: 2^16 rows, 8 KiB per int.  Sweeps over
+# more atoms fix the leading ones in an outer lexicographic loop.
+_CHUNK_ATOMS = 16
+
+
+def _tile(bits: int, width: int, rows: int) -> int:
+    """Repeat the low `width` bits of `bits` up to `rows` bits by
+    shift-doubling (big-int division is quadratic in CPython)."""
+    while width < rows:
+        bits |= bits << width
+        width <<= 1
+    return bits
+
+
+@functools.lru_cache(maxsize=_CHUNK_ATOMS + 1)
+def _row_masks(n: int) -> tuple[int, ...]:
+    """Per atom i of an n-atom sweep, the rows r with bit n-1-i clear, where
+    it is true: rows run lexicographic, true first."""
+    halves = (1 << (n - 1 - i) for i in range(n))
+    return tuple(_tile((1 << h) - 1, h << 1, 1 << n) for h in halves)
+
+
+_NOT, _AND, _OR, _IMPLIES, _IFF = range(5)
+_BINARY_OPCODE = {And: _AND, Or: _OR, Implies: _IMPLIES, Iff: _IFF}
+
+
+def _table(f: Formula, leaf: dict[str, int], full: int) -> int:
+    """Truth table of f from its atoms' tables, keyed by name (an Atom's
+    dataclass hash is recomputed per lookup).  Iterative, so depth is not
+    bounded by the recursion limit; a right operand is skipped when the
+    left one decides the node (0 under & and ->, full under |)."""
+    values: list[int] = []
+    todo: list = [f]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is AtomRef:
+            values.append(leaf[node.atom.name])
+        elif kind is tuple:  # (opcode, right operand), left value on top
+            op, a = node[0], values[-1]
+            if op == _OR and a == full or op in (_AND, _IMPLIES) and a == 0:
+                values[-1] = full if op == _IMPLIES else a
+            else:
+                todo += node
+        elif kind is int:  # an opcode, its operands on top of values
+            b = full if node == _NOT else values.pop()
+            a = values[-1]
+            if node == _AND:
+                values[-1] = a & b
+            elif node == _OR:
+                values[-1] = a | b
+            elif node == _IMPLIES:
+                values[-1] = (a ^ full) | b
+            else:  # _NOT is a ^ full, _IFF is a ^ b ^ full
+                values[-1] = a ^ b ^ (full if node == _IFF else 0)
+        elif kind is Not:
+            todo += (_NOT, node.arg)
+        elif kind is Const:
+            values.append(full if node.value else 0)
+        elif kind in _BINARY_OPCODE:
+            todo += ((_BINARY_OPCODE[kind], node.right), node.left)
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+    return values[0]
+
+
+def first_block(
+    f: Formula,
+    leading: list[Atom],
+    trailing: list[Atom],
+    fixed: Assignment = EMPTY_ASSIGNMENT,
+    some: bool = False,
+) -> Assignment | None:
+    """The first total eta over `leading`, lexicographic and true first,
+    under which some (by default no) total assignment over `trailing`
+    satisfies f with `fixed`, united with `fixed`.  Each eta owns a block of
+    2^len(trailing) rows of a table over the last max(len(trailing),
+    _CHUNK_ATOMS) atoms."""
+    avs = [*leading, *trailing]
+    b = len(trailing)
+    split = max(0, len(avs) - max(b, _CHUNK_ATOMS))
+    low = avs[split:]
+    full = (1 << (1 << len(low))) - 1
+    starts = _tile(1, 1 << b, 1 << len(low))
+    leaf = {a.name: mask for a, mask in zip(low, _row_masks(len(low)))}
+    for prefix in total_assignments(avs[:split]):
+        for lit in (*fixed.literals(), *prefix.literals()):
+            leaf[lit.atom.name] = full if lit.positive else 0
+        t = _table(f, leaf, full)
+        shift = 1
+        while shift < 1 << b:  # OR each block onto its first row
+            t |= t >> shift
+            shift <<= 1
+        hits = starts & (t if some else ~t)
+        if hits:
+            r = ((hits & -hits).bit_length() - 1) >> b
+            n = len(low) - b
+            rest = {a: not (r >> (n - 1 - i)) & 1 for i, a in enumerate(low[:n])}
+            return fixed.union(prefix).union(Assignment(rest))
+    return None
 
 
 def sat_total(f: Formula, eta: Assignment) -> bool:
@@ -195,61 +280,39 @@ def sat_total(f: Formula, eta: Assignment) -> bool:
     if not eta.is_total_for(needed):
         missing = ", ".join(sorted(a.name for a in needed if a not in eta))
         raise ValueError(f"assignment is not total for the formula: missing {missing}")
-    return _eval_bool(f, {a: eta.value(a) for a in needed})
+    return _table(f, {a.name: int(eta.value(a)) for a in needed}, 1) == 1
 
 
-def _check_cap(n: int, atom_cap: int | None) -> None:
+def _sweep_atoms(f: Formula, atom_cap: int | None) -> list[Atom]:
+    avs = sorted(atoms(f))
     cap = limits.max_atoms(atom_cap)
-    if n > cap:
+    if len(avs) > cap:
         raise ResourceLimitError(
-            f"brute-force sweep over {n} atoms exceeds the cap of {cap}"
+            f"brute-force sweep over {len(avs)} atoms exceeds the cap of {cap}"
         )
-
-
-def _sweep(avs: list[Atom]):
-    """All total bindings over avs as dicts, lexicographic, true first."""
-    for values in product((True, False), repeat=len(avs)):
-        yield dict(zip(avs, values))
+    return avs
 
 
 def brute_valid(f: Formula, atom_cap: int | None = None) -> bool:
     """True iff every total assignment over atoms(f) satisfies f."""
-    avs = sorted(atoms(f))
-    _check_cap(len(avs), atom_cap)
-    return all(_eval_bool(f, binding) for binding in _sweep(avs))
+    return first_falsifying(f, atom_cap) is None
 
 
 def brute_satisfiable(f: Formula, atom_cap: int | None = None) -> bool:
     """True iff some total assignment over atoms(f) satisfies f."""
-    avs = sorted(atoms(f))
-    _check_cap(len(avs), atom_cap)
-    return any(_eval_bool(f, binding) for binding in _sweep(avs))
+    return first_satisfying(f, atom_cap) is not None
 
 
 def first_falsifying(f: Formula, atom_cap: int | None = None) -> Assignment | None:
     """The lexicographically first total assignment falsifying f, or None."""
-    avs = sorted(atoms(f))
-    _check_cap(len(avs), atom_cap)
-    for binding in _sweep(avs):
-        if not _eval_bool(f, binding):
-            return Assignment(binding)
-    return None
+    return first_block(f, _sweep_atoms(f, atom_cap), [])
 
 
 def first_satisfying(f: Formula, atom_cap: int | None = None) -> Assignment | None:
     """The lexicographically first total assignment satisfying f, or None."""
-    avs = sorted(atoms(f))
-    _check_cap(len(avs), atom_cap)
-    for binding in _sweep(avs):
-        if _eval_bool(f, binding):
-            return Assignment(binding)
-    return None
+    return first_block(f, _sweep_atoms(f, atom_cap), [], some=True)
 
 
 def brute_equivalent(f: Formula, g: Formula, atom_cap: int | None = None) -> bool:
     """True iff f and g agree on every total assignment over their atoms."""
-    avs = sorted(atoms(f) | atoms(g))
-    _check_cap(len(avs), atom_cap)
-    return all(
-        _eval_bool(f, binding) == _eval_bool(g, binding) for binding in _sweep(avs)
-    )
+    return brute_valid(Iff(f, g), atom_cap)

@@ -18,7 +18,7 @@ from partialsat import (
     from_cube,
     parse_assignment,
 )
-from partialsat.assignment import Assignment as _Assignment
+from partialsat.assignment import Assignment as _Assignment, total_assignments
 
 A1, A2, A3, B1 = Atom("A1"), Atom("A2"), Atom("A3"), Atom("B1")
 
@@ -137,6 +137,11 @@ class TestExtensions:
             assert all(
                 nu.value(a) == mu.value(a) for nu in out for a in mu.domain
             )
+
+    def test_total_assignments_keep_the_given_atom_order(self):
+        out = [str(mu) for mu in total_assignments([B1, A2])]
+        assert out == ["A2, B1", "!A2, B1", "A2, !B1", "!A2, !B1"]
+        assert list(total_assignments([])) == [EMPTY_ASSIGNMENT]
 
     def test_domain_escape_rejected(self):
         with pytest.raises(ValueError, match="B1"):

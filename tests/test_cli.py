@@ -81,6 +81,13 @@ class TestCheck:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_recursion_limit_exits_3_not_false(self, capsys):
+        deep_and = " & ".join(f"d{i}" for i in range(1200))
+        code, out, err = invoke(capsys, "check", "-f", deep_and, "-a", "")
+        assert code == 3
+        assert out == ""
+        assert err == "error: formula nesting exceeds the recursion limit\n"
+
     def test_inconsistent_assignment_exits_2(self, capsys):
         code, _, err = invoke(capsys, "check", "-f", "A1", "-a", "A1, !A1")
         assert code == 2

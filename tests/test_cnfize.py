@@ -300,6 +300,11 @@ class TestToDimacs:
         with pytest.raises(ValueError, match="CNF"):
             to_dimacs(parse("!(A1 & A2)"))
 
+    def test_thousand_clause_cnf_keeps_clause_order(self):
+        cnf = parse(" & ".join(f"(d{i} | !e{i})" for i in range(1200)))
+        rows = [line for line in to_dimacs(cnf).splitlines() if line[0] not in "cp"]
+        assert rows == [f"{2 * i + 1} -{2 * i + 2} 0" for i in range(1200)]
+
     def test_tseitin_output_is_accepted(self):
         text = to_dimacs(tseitin(parse("(A1 & A2) | (A1 & !A2)")).cnf)
         assert text.splitlines()[:4] == ["c 1 B1", "c 2 B2", "c 3 A1", "c 4 A2"]

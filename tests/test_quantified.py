@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from partialsat import semantics
 from partialsat import (
     Assignment,
     Atom,
@@ -25,6 +26,7 @@ from partialsat import (
     validates,
 )
 from gen import atom_pool, random_formula, random_partial_assignment
+from test_semantics import ref_eval, ref_rows
 
 CNF_OF_GAP = (
     "(B1 | B2) & (!B1 | A1) & (!B1 | A2) & (B1 | !A1 | !A2)"
@@ -211,3 +213,52 @@ class TestCorrespondenceWithExpansion:
             if not ok_e:
                 assert eta.restrict(mu.domain) == mu
                 assert not exists_validates(eta, ef)[0]
+
+
+def _ref_exists_entails(mu, ef):
+    """The per-(eta, delta) double sweep that the one-table exists_entails
+    replaced, kept as the oracle."""
+    unassigned = sorted(ef.free_atoms - mu.domain)
+    bound = sorted(ef.quantified)
+    for rest in ref_rows(unassigned):
+        eta = mu.union(Assignment(rest))
+        fixed = {lit.atom: lit.positive for lit in eta.literals()}
+        if not any(ref_eval(ef.matrix, {**fixed, **delta}) for delta in ref_rows(bound)):
+            return False, eta
+    return True, None
+
+
+class TestExistsEntailsAgainstDoubleSweep:
+    def test_verdicts_and_counterexamples_match(self, monkeypatch):
+        rng = random.Random(6101)
+        counterexamples = 0
+        for _ in range(500):
+            free = atom_pool(rng.randint(1, 6))
+            bound = atom_pool(rng.randint(0, 4), prefix="B")
+            # mu may bind atoms outside the matrix; B atoms may be vacuous
+            ef = ExistentialFormula(
+                matrix=random_formula(rng, free + bound, max_depth=4),
+                quantified=frozenset(bound),
+            )
+            mu = random_partial_assignment(rng, free, bind_chance=0.4)
+            expected = _ref_exists_entails(mu, ef)
+            counterexamples += not expected[0]
+            # 3-atom chunks put the leading free atoms in the outer loop
+            for chunk in (semantics._CHUNK_ATOMS, 3):
+                monkeypatch.setattr(semantics, "_CHUNK_ATOMS", chunk)
+                assert exists_entails(mu, ef) == expected
+            monkeypatch.undo()
+        assert 50 < counterexamples < 450
+
+    def test_caps_are_checked_before_any_table_is_built(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("table built before the cap check")
+
+        monkeypatch.setattr(semantics, "_table", no_table)
+        ef = parse_existential("exists B1 B2 . (B1 | B2) & (A1 | A2 | A3)")
+        with pytest.raises(ResourceLimitError, match="3 unassigned free atoms"):
+            exists_entails(EMPTY_ASSIGNMENT, ef, atom_cap=2)
+        with pytest.raises(ResourceLimitError, match="2 quantified atoms"):
+            exists_entails(EMPTY_ASSIGNMENT, ef, expansion_cap=1)
+        with pytest.raises(AssertionError, match="table built"):
+            exists_entails(EMPTY_ASSIGNMENT, ef, atom_cap=3, expansion_cap=2)

@@ -1,8 +1,10 @@
 """Three-valued evaluation, residual simplification, and brute-force oracles."""
 import random
+from itertools import product
 
 import pytest
 
+from partialsat import semantics
 from partialsat import (
     And,
     Assignment,
@@ -18,19 +20,22 @@ from partialsat import (
     ResourceLimitError,
     TRUE,
     TruthValue3,
+    and_all,
     atoms,
     brute_equivalent,
     brute_satisfiable,
     brute_valid,
+    entails,
     eval3,
     extensions,
     first_falsifying,
     first_satisfying,
+    or_all,
     parse,
     residual,
     sat_total,
 )
-from gen import atom_pool, random_formula, random_partial_assignment
+from gen import atom_pool, equivalent_variant, random_formula, random_partial_assignment
 
 T, U, F = TruthValue3.T, TruthValue3.U, TruthValue3.F
 P, Q = Atom("P"), Atom("Q")
@@ -268,3 +273,123 @@ class TestBruteOracles:
         with pytest.raises(ResourceLimitError):
             brute_valid(parse("A1 | A2 | A3 | A4"))
         assert not brute_valid(parse("A1 | A2"))
+
+
+# --------------------------------------------- reference: the per-row sweep
+# The truth-table kernel replaced this loop; it stays here as the oracle.
+
+
+def ref_eval(f, binding):
+    if isinstance(f, Const):
+        return f.value
+    if isinstance(f, AtomRef):
+        return binding[f.atom]
+    if isinstance(f, Not):
+        return not ref_eval(f.arg, binding)
+    if isinstance(f, And):
+        return ref_eval(f.left, binding) and ref_eval(f.right, binding)
+    if isinstance(f, Or):
+        return ref_eval(f.left, binding) or ref_eval(f.right, binding)
+    if isinstance(f, Implies):
+        return (not ref_eval(f.left, binding)) or ref_eval(f.right, binding)
+    return ref_eval(f.left, binding) == ref_eval(f.right, binding)
+
+
+def ref_rows(avs):
+    """Total bindings over avs, lexicographic, true first."""
+    for values in product((True, False), repeat=len(avs)):
+        yield dict(zip(avs, values))
+
+
+def _first(rows, values, want):
+    for binding, value in zip(rows, values):
+        if value == want:
+            return Assignment(binding)
+    return None
+
+
+# formulas per atom count: every atom of the pool occurs in the formula
+_CORPUS_SIZES = [(n, 60) for n in range(1, 9)] + [(9, 10), (10, 6), (11, 2), (12, 2)]
+
+
+def _corpus(seed):
+    rng = random.Random(seed)
+    for n, count in _CORPUS_SIZES:
+        pool = atom_pool(n)
+        for _ in range(count):
+            f = random_formula(rng, pool, max_depth=3)
+            while len(atoms(f)) < n:
+                node = rng.choice((And, Or, Implies, Iff))
+                f = node(f, random_formula(rng, pool, max_depth=3))
+            yield rng, f
+
+
+class TestKernelAgainstRowSweep:
+    def test_oracles_and_witnesses_match(self, monkeypatch):
+        checked = 0
+        for rng, f in _corpus(7101):
+            avs = sorted(atoms(f))
+            g = random_formula(rng, avs, max_depth=3)
+            rows = list(ref_rows(avs))
+            f_values = [ref_eval(f, b) for b in rows]
+            g_values = [ref_eval(g, b) for b in rows]
+            falsifying = _first(rows, f_values, False)
+            satisfying = _first(rows, f_values, True)
+            r = rng.randrange(len(rows))
+            eta = Assignment(rows[r])
+            # 3-atom chunks run the outer prefix loop on every larger sweep
+            for chunk in (semantics._CHUNK_ATOMS, 3):
+                monkeypatch.setattr(semantics, "_CHUNK_ATOMS", chunk)
+                assert first_falsifying(f) == falsifying
+                assert first_satisfying(f) == satisfying
+                assert brute_valid(f) == (falsifying is None)
+                assert brute_satisfiable(f) == (satisfying is not None)
+                assert brute_equivalent(f, g) == (f_values == g_values)
+                assert brute_equivalent(f, equivalent_variant(rng, f))
+                assert sat_total(f, eta) == f_values[r]
+            monkeypatch.undo()
+            checked += 1
+        assert checked == 500
+
+    def test_chain_22_is_entailed_by_the_empty_assignment(self):
+        n = 22
+        links = and_all(Implies(AtomRef(Atom(f"A{i:02}")), AtomRef(Atom(f"A{i + 1:02}")))
+                        for i in range(1, n))
+        chain = Implies(links, Implies(AtomRef(Atom("A01")), AtomRef(Atom(f"A{n:02}"))))
+        assert entails(EMPTY_ASSIGNMENT, chain, backend="brute") is True
+        assert first_falsifying(chain) is None
+
+    def test_one_atom_over_the_cap_raises_before_any_table(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("table built before the cap check")
+
+        monkeypatch.setattr(semantics, "_table", no_table)
+        monkeypatch.setenv("PARTIALSAT_MAX_ATOMS", "5")
+        f = and_all(AtomRef(a) for a in atom_pool(6))
+        g = and_all(AtomRef(a) for a in atom_pool(5))
+        for check in (brute_valid, brute_satisfiable, first_falsifying, first_satisfying):
+            with pytest.raises(ResourceLimitError, match="6 atoms exceeds the cap of 5"):
+                check(f)
+            with pytest.raises(AssertionError, match="table built"):
+                check(g)
+        with pytest.raises(ResourceLimitError, match="6 atoms exceeds the cap of 5"):
+            brute_equivalent(g, AtomRef(Atom("A6")))
+        with pytest.raises(ResourceLimitError, match="3 atoms exceeds the cap of 2"):
+            first_falsifying(parse("A1 | A2 | A3"), atom_cap=2)
+
+    def test_right_deep_formula_evaluates_without_recursion(self):
+        pool = atom_pool(8)
+        spine = {}
+        for node in (Or, And):
+            f = AtomRef(pool[0])
+            for i in range(1, 1000):  # 1,999 nodes, 999 levels deep
+                f = node(AtomRef(pool[i % 8]), f)
+            spine[node] = f
+        all_true = Assignment({a: True for a in pool})
+        all_false = Assignment({a: False for a in pool})
+        assert first_falsifying(spine[Or]) == all_false
+        assert first_satisfying(spine[And]) == all_true
+        assert first_falsifying(spine[And]) == Assignment({**{a: True for a in pool[:7]}, pool[7]: False})
+        assert brute_satisfiable(spine[Or]) and not brute_valid(spine[And])
+        assert sat_total(spine[Or], all_true) and not sat_total(spine[Or], all_false)
+        assert brute_equivalent(spine[Or], or_all(AtomRef(a) for a in pool))
