@@ -322,51 +322,49 @@ def parse(text: str) -> Formula:
 
 # ---------------------------------------------------------------- printer
 
-_LEVEL_IFF, _LEVEL_IMPLIES, _LEVEL_OR, _LEVEL_AND, _LEVEL_NOT, _LEVEL_ATOM = 1, 2, 3, 4, 5, 6
+# Per connective: its operator, its precedence level (loosest first; atoms
+# and constants are 6) and the least level each operand may have without
+# parentheses.  A same-level right operand of a left-associative
+# connective, and a same-level left operand of ->, are parenthesized to
+# survive the parse.
+_SYNTAX = {
+    Iff: (" <-> ", 1, 1, 2),
+    Implies: (" -> ", 2, 3, 2),
+    Or: (" | ", 3, 3, 4),
+    And: (" & ", 4, 4, 5),
+    Not: ("!", 5, None, 5),
+}
+_LEAF_SYNTAX = ("", 6, None, None)
 
 
-def _level(f: Formula) -> int:
-    if isinstance(f, Iff):
-        return _LEVEL_IFF
-    if isinstance(f, Implies):
-        return _LEVEL_IMPLIES
-    if isinstance(f, Or):
-        return _LEVEL_OR
-    if isinstance(f, And):
-        return _LEVEL_AND
-    if isinstance(f, Not):
-        return _LEVEL_NOT
-    return _LEVEL_ATOM
-
-
-def _paren(text: str, needed: bool) -> str:
-    return f"({text})" if needed else text
+def _operand(f: Formula, least: int) -> tuple:
+    """f in stack order (last out first), parenthesized if its level is
+    below `least`."""
+    return (")", f, "(") if _SYNTAX.get(type(f), _LEAF_SYNTAX)[1] < least else (f,)
 
 
 def format_formula(f: Formula) -> str:
-    """Render f with minimal parentheses; parse(format_formula(f)) == f."""
-    if isinstance(f, Const):
-        return "true" if f.value else "false"
-    if isinstance(f, AtomRef):
-        return f.atom.name
-    if isinstance(f, Not):
-        return "!" + _paren(format_formula(f.arg), _level(f.arg) < _LEVEL_NOT)
-    if isinstance(f, (And, Or)):
-        op, lvl = ("&", _LEVEL_AND) if isinstance(f, And) else ("|", _LEVEL_OR)
-        left = _paren(format_formula(f.left), _level(f.left) < lvl)
-        # same-level right operand must be re-parenthesized to survive
-        # the left-associative parse
-        right = _paren(format_formula(f.right), _level(f.right) <= lvl)
-        return f"{left} {op} {right}"
-    if isinstance(f, Implies):
-        left = _paren(format_formula(f.left), _level(f.left) <= _LEVEL_IMPLIES)
-        right = _paren(format_formula(f.right), _level(f.right) < _LEVEL_IMPLIES)
-        return f"{left} -> {right}"
-    if isinstance(f, Iff):
-        left = _paren(format_formula(f.left), _level(f.left) < _LEVEL_IFF)
-        right = _paren(format_formula(f.right), _level(f.right) <= _LEVEL_IFF)
-        return f"{left} <-> {right}"
-    raise TypeError(f"not a formula: {f!r}")
+    """Render f with minimal parentheses; parse(format_formula(f)) == f.
+    Iterative, so depth is not bounded by the recursion limit."""
+    out: list[str] = []
+    todo: list = [f]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is str:
+            out.append(node)
+        elif kind is AtomRef:
+            out.append(node.atom.name)
+        elif kind is Const:
+            out.append("true" if node.value else "false")
+        elif kind is Not:
+            todo += (*_operand(node.arg, 5), "!")
+        elif kind in _SYNTAX:
+            op, _, left, right = _SYNTAX[kind]
+            todo += (*_operand(node.right, right), op, *_operand(node.left, left))
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+    return "".join(out)
 
 
 # ----------------------------------------------------- structural queries

@@ -1,11 +1,12 @@
-"""Three-valued evaluation, residuals, total-assignment satisfaction, and
+"""Residuals, three-valued evaluation, total-assignment satisfaction, and
 brute-force validity/equivalence oracles, which evaluate a formula on every
 row of a sweep at once as a truth table: one Python int, a bit per row.
 
-eval3 treats unbound atoms as unknown (U); residual substitutes bound atoms
-and propagates constants through the connectives, nothing more (no
+One walker evaluates under a partial assignment: residual substitutes bound
+atoms and propagates constants through the connectives, nothing more (no
 simplification of e.g. A | A, which would silently change validation
-outcomes).
+outcomes).  eval3, which treats unbound atoms as unknown (U), is its
+projection: T iff the residual is `true`, F iff it is `false`.
 """
 from __future__ import annotations
 
@@ -43,74 +44,17 @@ class TruthValue3(enum.Enum):
 _T, _F, _U = TruthValue3.T, TruthValue3.F, TruthValue3.U
 
 
-def _not3(a: TruthValue3) -> TruthValue3:
-    if a is _T:
-        return _F
-    if a is _F:
-        return _T
-    return _U
-
-
-def _and3(a: TruthValue3, b: TruthValue3) -> TruthValue3:
-    if a is _F or b is _F:
-        return _F
-    if a is _T and b is _T:
-        return _T
-    return _U
-
-
-def _or3(a: TruthValue3, b: TruthValue3) -> TruthValue3:
-    if a is _T or b is _T:
-        return _T
-    if a is _F and b is _F:
-        return _F
-    return _U
-
-
-def _implies3(a: TruthValue3, b: TruthValue3) -> TruthValue3:
-    if a is _F:
-        return _T
-    if b is _T:
-        return _T
-    if a is _T:
-        return b
-    return _U
-
-
-def _iff3(a: TruthValue3, b: TruthValue3) -> TruthValue3:
-    if a is _U or b is _U:
-        return _U
-    return _T if a is b else _F
-
-
-def eval3(f: Formula, mu: Assignment) -> TruthValue3:
-    """Three-valued value of f under the partial assignment mu."""
-    if isinstance(f, Const):
-        return _T if f.value else _F
-    if isinstance(f, AtomRef):
-        v = mu.value(f.atom)
-        if v is None:
-            return _U
-        return _T if v else _F
-    if isinstance(f, Not):
-        return _not3(eval3(f.arg, mu))
-    if isinstance(f, And):
-        return _and3(eval3(f.left, mu), eval3(f.right, mu))
-    if isinstance(f, Or):
-        return _or3(eval3(f.left, mu), eval3(f.right, mu))
-    if isinstance(f, Implies):
-        return _implies3(eval3(f.left, mu), eval3(f.right, mu))
-    if isinstance(f, Iff):
-        return _iff3(eval3(f.left, mu), eval3(f.right, mu))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _negate_folded(f: Formula) -> Formula:
-    if f == TRUE:
-        return FALSE
-    if f == FALSE:
-        return TRUE
-    return Not(f)
+# How a binary node folds when an operand residual is a constant, indexed
+# (left true, left false, right true, right false): to that constant, to
+# the other operand (_KEEP) or to its negation (_NEGATE).  A constant under
+# "left" decides the node before its right operand is walked.
+_KEEP, _NEGATE = "keep", "negate"
+_FOLD = {
+    And: (_KEEP, FALSE, _KEEP, FALSE),
+    Or: (TRUE, _KEEP, TRUE, _KEEP),
+    Implies: (_KEEP, TRUE, TRUE, _NEGATE),
+    Iff: (_KEEP, _NEGATE, _KEEP, _NEGATE),
+}
 
 
 def residual(f: Formula, mu: Assignment) -> Formula:
@@ -118,58 +62,68 @@ def residual(f: Formula, mu: Assignment) -> Formula:
     propagated through the connectives exhaustively bottom-up.
 
     The result contains no bound atom, and contains a constant only when it
-    is itself `true` or `false`.
+    is itself `true` or `false`.  Iterative, so depth is not bounded by the
+    recursion limit.  A right operand is skipped once the left residual
+    decides the node (`false` under & and ->, `true` under |), and a node
+    whose operands come back unchanged is returned itself, not rebuilt.
     """
-    if isinstance(f, Const):
-        return f
-    if isinstance(f, AtomRef):
-        v = mu.value(f.atom)
-        if v is None:
-            return f
-        return TRUE if v else FALSE
-    if isinstance(f, Not):
-        return _negate_folded(residual(f.arg, mu))
-    if isinstance(f, And):
-        left, right = residual(f.left, mu), residual(f.right, mu)
-        if left == FALSE or right == FALSE:
-            return FALSE
-        if left == TRUE:
-            return right
-        if right == TRUE:
-            return left
-        return And(left, right)
-    if isinstance(f, Or):
-        left, right = residual(f.left, mu), residual(f.right, mu)
-        if left == TRUE or right == TRUE:
-            return TRUE
-        if left == FALSE:
-            return right
-        if right == FALSE:
-            return left
-        return Or(left, right)
-    if isinstance(f, Implies):
-        left, right = residual(f.left, mu), residual(f.right, mu)
-        if left == FALSE:
-            return TRUE
-        if right == TRUE:
-            return TRUE
-        if left == TRUE:
-            return right
-        if right == FALSE:
-            return _negate_folded(left)
-        return Implies(left, right)
-    if isinstance(f, Iff):
-        left, right = residual(f.left, mu), residual(f.right, mu)
-        if left == TRUE:
-            return right
-        if left == FALSE:
-            return _negate_folded(right)
-        if right == TRUE:
-            return left
-        if right == FALSE:
-            return _negate_folded(left)
-        return Iff(left, right)
-    raise TypeError(f"not a formula: {f!r}")
+    value = mu.value
+    values: list[Formula] = []
+    todo: list = [f]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is AtomRef:
+            v = value(node.atom)
+            values.append(node if v is None else TRUE if v else FALSE)
+        elif kind is tuple:  # (node, its right operand or None), operands on top
+            node, right = node
+            kind = type(node)
+            if right is not None:  # only the left residual is in
+                a = values[-1]
+                rule = _FOLD[kind][a is FALSE] if a is TRUE or a is FALSE else None
+                if type(rule) is Const:
+                    values[-1] = rule
+                else:
+                    todo += ((node, None), right)
+                continue
+            if kind is Not:
+                rule, other = _NEGATE, values[-1]
+            else:
+                b = values.pop()
+                a = values[-1]
+                if a is TRUE or a is FALSE:
+                    rule, other = _FOLD[kind][a is FALSE], b
+                elif b is TRUE or b is FALSE:
+                    rule, other = _FOLD[kind][2 + (b is FALSE)], a
+                else:
+                    same = a is node.left and b is node.right
+                    values[-1] = node if same else kind(a, b)
+                    continue
+            if rule is _KEEP:
+                values[-1] = other
+            elif rule is not _NEGATE:
+                values[-1] = rule
+            elif other is TRUE or other is FALSE:
+                values[-1] = FALSE if other is TRUE else TRUE
+            else:
+                values[-1] = node if kind is Not and other is node.arg else Not(other)
+        elif kind in _FOLD:
+            todo += ((node, node.right), node.left)
+        elif kind is Not:
+            todo += ((node, None), node.arg)
+        elif kind is Const:
+            values.append(TRUE if node.value else FALSE)
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+    return values[0]
+
+
+def eval3(f: Formula, mu: Assignment) -> TruthValue3:
+    """Three-valued (Kleene) value of f under the partial assignment mu, the
+    projection of its residual: T iff it is `true`, F iff it is `false`."""
+    r = residual(f, mu)
+    return _T if r is TRUE else _F if r is FALSE else _U
 
 
 # Widest table the kernel builds: 2^16 rows, 8 KiB per int.  Sweeps over

@@ -17,6 +17,7 @@ from partialsat import (
     Or,
     ParseError,
     TRUE,
+    and_all,
     atoms,
     classify,
     format_formula,
@@ -106,6 +107,69 @@ class TestParse:
             parse("exists")
 
 
+_LEVEL_IFF, _LEVEL_IMPLIES, _LEVEL_OR, _LEVEL_AND, _LEVEL_NOT, _LEVEL_ATOM = 1, 2, 3, 4, 5, 6
+
+
+def _level(f):
+    if isinstance(f, Iff):
+        return _LEVEL_IFF
+    if isinstance(f, Implies):
+        return _LEVEL_IMPLIES
+    if isinstance(f, Or):
+        return _LEVEL_OR
+    if isinstance(f, And):
+        return _LEVEL_AND
+    if isinstance(f, Not):
+        return _LEVEL_NOT
+    return _LEVEL_ATOM
+
+
+def _paren(text, needed):
+    return f"({text})" if needed else text
+
+
+def ref_format(f):
+    """The recursive printer, kept as the reference for the iterative one."""
+    if isinstance(f, Const):
+        return "true" if f.value else "false"
+    if isinstance(f, AtomRef):
+        return f.atom.name
+    if isinstance(f, Not):
+        return "!" + _paren(ref_format(f.arg), _level(f.arg) < _LEVEL_NOT)
+    if isinstance(f, (And, Or)):
+        op, lvl = ("&", _LEVEL_AND) if isinstance(f, And) else ("|", _LEVEL_OR)
+        left = _paren(ref_format(f.left), _level(f.left) < lvl)
+        # same-level right operand must be re-parenthesized to survive
+        # the left-associative parse
+        right = _paren(ref_format(f.right), _level(f.right) <= lvl)
+        return f"{left} {op} {right}"
+    if isinstance(f, Implies):
+        left = _paren(ref_format(f.left), _level(f.left) <= _LEVEL_IMPLIES)
+        right = _paren(ref_format(f.right), _level(f.right) < _LEVEL_IMPLIES)
+        return f"{left} -> {right}"
+    if isinstance(f, Iff):
+        left = _paren(ref_format(f.left), _level(f.left) < _LEVEL_IFF)
+        right = _paren(ref_format(f.right), _level(f.right) <= _LEVEL_IFF)
+        return f"{left} <-> {right}"
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _same_tree(f, g):
+    """Structural equality without recursion (dataclass == recurses)."""
+    stack = [(f, g)]
+    while stack:
+        a, b = stack.pop()
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, Not):
+            stack.append((a.arg, b.arg))
+        elif isinstance(a, (And, Or, Implies, Iff)):
+            stack += [(a.left, b.left), (a.right, b.right)]
+        elif a != b:
+            return False
+    return True
+
+
 class TestPrint:
     def test_constants(self):
         assert str(TRUE) == "true"
@@ -137,6 +201,25 @@ class TestPrint:
         seed = data.draw(st.integers(0, 2**32 - 1))
         f = random_formula(random.Random(seed), atom_pool(8), max_depth=8)
         assert parse(str(f)) == f
+
+    def test_matches_recursive_printer(self):
+        rng = random.Random(1002)
+        for _ in range(2000):
+            pool = atom_pool(rng.randint(1, 8))
+            f = random_formula(rng, pool, max_depth=rng.randint(0, 8), const_chance=0.2)
+            assert format_formula(f) == ref_format(f)
+
+    def test_deep_conjunction_round_trips(self):
+        f = and_all(AtomRef(Atom(f"d{i}")) for i in range(1200))
+        text = str(f)
+        assert text == " & ".join(f"d{i}" for i in range(1200))
+        assert _same_tree(parse(text), f)
+
+    def test_deep_right_nested_implication_prints(self):
+        f = AtomRef(Atom("d10000"))
+        for i in reversed(range(10_000)):
+            f = Implies(AtomRef(Atom(f"d{i}")), f)
+        assert str(f) == " -> ".join(f"d{i}" for i in range(10_001))
 
 
 class TestLiteral:

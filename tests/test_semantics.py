@@ -34,6 +34,7 @@ from partialsat import (
     parse,
     residual,
     sat_total,
+    validates,
 )
 from gen import atom_pool, equivalent_variant, random_formula, random_partial_assignment
 
@@ -217,6 +218,153 @@ class TestResidualProperties:
             }
             tau = Assignment(extra)
             assert residual(residual(f, mu), tau) == residual(f, mu.union(tau))
+
+
+def _negate_folded(f):
+    if f == TRUE:
+        return FALSE
+    if f == FALSE:
+        return TRUE
+    return Not(f)
+
+
+def ref_residual(f, mu):
+    """The recursive residual, kept as the reference for the iterative one."""
+    if isinstance(f, Const):
+        return f
+    if isinstance(f, AtomRef):
+        v = mu.value(f.atom)
+        if v is None:
+            return f
+        return TRUE if v else FALSE
+    if isinstance(f, Not):
+        return _negate_folded(ref_residual(f.arg, mu))
+    left, right = ref_residual(f.left, mu), ref_residual(f.right, mu)
+    if isinstance(f, And):
+        if left == FALSE or right == FALSE:
+            return FALSE
+        if left == TRUE:
+            return right
+        if right == TRUE:
+            return left
+        return And(left, right)
+    if isinstance(f, Or):
+        if left == TRUE or right == TRUE:
+            return TRUE
+        if left == FALSE:
+            return right
+        if right == FALSE:
+            return left
+        return Or(left, right)
+    if isinstance(f, Implies):
+        if left == FALSE or right == TRUE:
+            return TRUE
+        if left == TRUE:
+            return right
+        if right == FALSE:
+            return _negate_folded(left)
+        return Implies(left, right)
+    if left == TRUE:
+        return right
+    if left == FALSE:
+        return _negate_folded(right)
+    if right == TRUE:
+        return left
+    if right == FALSE:
+        return _negate_folded(left)
+    return Iff(left, right)
+
+
+def kleene(f, mu):
+    """Recursive Kleene evaluation read off the frozen TABLE."""
+    if isinstance(f, Const):
+        return T if f.value else F
+    if isinstance(f, AtomRef):
+        v = mu.value(f.atom)
+        return U if v is None else T if v else F
+    if isinstance(f, Not):
+        column = (kleene(f.arg, mu), T)
+    else:
+        column = (kleene(f.left, mu), kleene(f.right, mu))
+    return TABLE[type(f)][COLUMNS.index(column)]
+
+
+def _node_kinds(f):
+    """The node types in f, counting Const nodes other than TRUE and FALSE
+    as "fresh Const"."""
+    found, stack = set(), [f]
+    while stack:
+        node = stack.pop()
+        fresh = type(node) is Const and node is not TRUE and node is not FALSE
+        found.add("fresh Const" if fresh else type(node))
+        stack += [getattr(node, k) for k in ("arg", "left", "right") if hasattr(node, k)]
+    return found
+
+
+class TestWalkerAgainstRecursiveOracles:
+    def test_residual_and_eval3_match_on_seeded_pairs(self):
+        rng = random.Random(3101)
+        seen, outcomes = set(), set()
+        for _ in range(2000):
+            pool = atom_pool(rng.randint(1, 8))
+            f = random_formula(rng, pool, max_depth=rng.randint(0, 7), const_chance=0.2)
+            mu = random_partial_assignment(rng, pool)
+            assert residual(f, mu) == ref_residual(f, mu)
+            v = eval3(f, mu)
+            assert v is kleene(f, mu)
+            seen |= _node_kinds(f)
+            outcomes.add(v)
+        assert seen == {"fresh Const", AtomRef, Not, And, Or, Implies, Iff}
+        assert outcomes == {T, U, F}
+
+    def test_unbound_formula_is_returned_not_rebuilt(self):
+        f = parse("!(A1 -> A2) <-> (A3 | !!A4) & A5")
+        assert residual(f, EMPTY_ASSIGNMENT) is f
+        assert residual(f, Assignment({Atom("A9"): True})) is f
+        g = residual(f, Assignment({Atom("A5"): True}))
+        assert g.left is f.left and g.right is f.right.left
+
+
+DEPTH = 100_000
+A, B = AtomRef(Atom("A")), AtomRef(Atom("B"))
+
+
+def _deep(node, right_deep=False):
+    """!!...!A, DEPTH deep, or DEPTH / 2 binary `node`s over A and B in
+    turn, nested to the left or the right: DEPTH + 1 nodes either way."""
+    f = A
+    if node is Not:
+        for _ in range(DEPTH):
+            f = Not(f)
+        return f
+    for i in range(1, DEPTH // 2 + 1):
+        leaf = (A, B)[i % 2]
+        f = node(leaf, f) if right_deep else node(f, leaf)
+    return f
+
+
+class TestDepth:
+    @pytest.mark.parametrize("node,right_deep", [
+        *(pytest.param(node, side, id=f"{node.__name__}-{['left', 'right'][side]}-deep")
+          for node in (And, Or, Implies, Iff) for side in (False, True)),
+        pytest.param(Not, False, id="Not-chain"),
+    ])
+    def test_deep_formula_is_decided_without_recursion(self, node, right_deep):
+        f = _deep(node, right_deep)
+        assert residual(f, EMPTY_ASSIGNMENT) is f
+        assert eval3(f, EMPTY_ASSIGNMENT) is U
+        assert not validates(EMPTY_ASSIGNMENT, f)
+        eta = Assignment({A.atom: True, B.atom: False})
+        value = sat_total(f, eta)
+        assert residual(f, eta) is (TRUE if value else FALSE)
+        assert eval3(f, eta) is (T if value else F)
+        assert validates(eta, f) is value
+
+    def test_deep_chain_residual_under_a_partial_binding(self):
+        r = residual(_deep(And), Assignment({A.atom: True}))
+        assert atoms(r) == {B.atom} and eval3(r, EMPTY_ASSIGNMENT) is U
+        assert residual(r, Assignment({B.atom: True})) is TRUE
+        assert eval3(_deep(Or, right_deep=True), Assignment({A.atom: False})) is U
 
 
 class TestSatTotal:
