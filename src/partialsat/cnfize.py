@@ -10,9 +10,7 @@ delta to exhibit exactly that gap.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .assignment import Assignment, total_assignments
+from .assignment import EMPTY_ASSIGNMENT, Assignment, total_assignments
 from .errors import ResourceLimitError
 from .formula import (
     And,
@@ -34,42 +32,44 @@ from .formula import (
     is_literal,
 )
 from .partial_sat import _entails_with_witness, entails, validates
-from .semantics import TruthValue3, brute_satisfiable, eval3, residual
+from .record import Record
+from .semantics import TruthValue3, eval3, residual
+from .semantics import brute_satisfiable  # noqa: F401 (perfbench wraps it)
 from . import limits
 
 _BINARY_TYPES = (And, Or, Implies, Iff)
 
 
-@dataclass(frozen=True)
-class TseitinResult:
+class TseitinResult(Record):
     """CNF over original plus fresh atoms, with the defining subformula of
     each fresh atom in introduction order."""
 
-    cnf: Formula
-    fresh_atoms: tuple[Atom, ...]
-    definitions: tuple[tuple[Atom, Formula], ...]
+    __slots__ = ("cnf", "fresh_atoms", "definitions")
+
+    def __init__(self, cnf: Formula, fresh_atoms: tuple[Atom, ...],
+                 definitions: tuple[tuple[Atom, Formula], ...]):
+        self._set(cnf, fresh_atoms, definitions)
 
 
-@dataclass(frozen=True)
-class LossCase:
+class LossCase(Record):
     """Verdict for one total assignment over the fresh atoms."""
 
-    delta: Assignment
-    outcome: str
-    witness: Assignment | None = None
+    __slots__ = ("delta", "outcome", "witness")
+
+    def __init__(self, delta: Assignment, outcome: str,
+                 witness: Assignment | None = None):
+        self._set(delta, outcome, witness)
 
 
-@dataclass(frozen=True)
-class LossReport:
+class LossReport(Record):
     """Outcome of sweeping every fresh-atom assignment: loss is true when
     none of them recovers the verdict that held on the original formula."""
 
-    mode: str
-    loss: bool
-    original: Formula
-    cnf: Formula
-    fresh_atoms: tuple[Atom, ...]
-    cases: tuple[LossCase, ...]
+    __slots__ = ("mode", "loss", "original", "cnf", "fresh_atoms", "cases")
+
+    def __init__(self, mode: str, loss: bool, original: Formula, cnf: Formula,
+                 fresh_atoms: tuple[Atom, ...], cases: tuple[LossCase, ...]):
+        self._set(mode, loss, original, cnf, fresh_atoms, cases)
 
 
 def _collapse_double_negation(f: Formula) -> Formula:
@@ -285,10 +285,9 @@ def check_entailment_loss(
             recovered = True
         else:
             r = residual(result.cnf, extended)
-            if r == FALSE or not brute_satisfiable(r, atom_cap):
-                outcome = "inconsistent"
-            else:
-                outcome = "falsified"
+            unsat = entails(EMPTY_ASSIGNMENT, Not(r), atom_cap=atom_cap,
+                            branch_budget=branch_budget)
+            outcome = "inconsistent" if unsat else "falsified"
         cases.append(LossCase(delta=delta, outcome=outcome, witness=witness))
     return LossReport(
         mode="entailing",

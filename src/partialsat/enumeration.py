@@ -7,8 +7,6 @@ listing is never longer than the DPLL one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .assignment import Assignment
 from .errors import ResourceLimitError
 from .formula import (
@@ -27,18 +25,19 @@ from .formula import (
     atoms,
     or_all,
 )
+from .record import Record
 from .semantics import brute_equivalent, residual
 from . import limits
 
 
-@dataclass(frozen=True)
-class EnumResult:
+class EnumResult(Record):
     """Ordered partial assignments produced by one engine in one mode."""
 
-    engine: str
-    mode: str
-    formula: Formula
-    assignments: tuple[Assignment, ...]
+    __slots__ = ("engine", "mode", "formula", "assignments")
+
+    def __init__(self, engine: str, mode: str, formula: Formula,
+                 assignments: tuple[Assignment, ...]):
+        self._set(engine, mode, formula, assignments)
 
     def to_json_dict(self) -> dict:
         return {
@@ -55,16 +54,16 @@ class EnumResult:
         return [str(mu.to_cube()) for mu in self.assignments]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Per-assignment mode-predicate checks, pairwise-disjointness checks
     (None where not applicable), and whether the cubes cover the formula."""
 
-    engine: str
-    mode: str
-    mode_violations: tuple[int, ...]
-    disjointness_violations: tuple[tuple[int, int], ...] | None
-    covers: bool
+    __slots__ = ("engine", "mode", "mode_violations", "disjointness_violations", "covers")
+
+    def __init__(self, engine: str, mode: str, mode_violations: tuple[int, ...],
+                 disjointness_violations: tuple[tuple[int, int], ...] | None,
+                 covers: bool):
+        self._set(engine, mode, mode_violations, disjointness_violations, covers)
 
     @property
     def ok(self) -> bool:
@@ -398,28 +397,31 @@ def tableaux_enumerate(
 def _dpll_walk(f: Formula, budget: _Budget):
     """Yield validating partial assignments: branch on the lexicographically
     least atom of the residual (true first), bind forced literals, record a
-    branch when the residual folds to true, close on false."""
+    branch when the residual folds to true, close on false.
 
-    def rec(mu: Assignment, r: Formula):
+    Open branches wait on an explicit stack as (mu, r, decision); a
+    decision's residual is taken only when its branch is resumed, so depth
+    is not bounded by the recursion limit."""
+    branches: list = [(Assignment({}), f, None)]
+    while branches:
+        mu, r, decision = branches.pop()
+        if decision is not None:
+            atom, value = decision
+            mu, r = mu.bind(atom, value), residual(r, Assignment({atom: value}))
         while True:
             if r == TRUE:
                 yield mu
-                return
+                break
             if r == FALSE:
-                return
+                break
             lit = as_literal(r)
             if lit is None:
+                budget.spend()
+                atom = min(atoms(r))
+                branches += ((mu, r, (atom, False)), (mu, r, (atom, True)))
                 break
             mu = mu.bind(lit.atom, lit.positive)
             r = residual(r, Assignment({lit.atom: lit.positive}))
-        budget.spend()
-        atom = min(atoms(r))
-        for value in (True, False):
-            yield from rec(
-                mu.bind(atom, value), residual(r, Assignment({atom: value}))
-            )
-
-    yield from rec(Assignment({}), f)
 
 
 def dpll_enumerate(f: Formula, branch_budget: int | None = None) -> EnumResult:

@@ -15,28 +15,35 @@ Precedence, tightest first: ! > & > | > -> > <->.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import total_ordering
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ParseError
+from .record import Record
 
 _ATOM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _RESERVED = {"true", "false", "exists"}
+_init = object.__setattr__
 
 
 @total_ordering
-@dataclass(frozen=True)
-class Atom:
+class Atom(Record):
     """A propositional atom, identified by name; ordered lexicographically."""
 
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        if not _ATOM_NAME.fullmatch(self.name):
-            raise ValueError(f"invalid atom name: {self.name!r}")
-        if self.name in _RESERVED:
-            raise ValueError(f"reserved word cannot be an atom name: {self.name!r}")
+    def __init__(self, name: str):
+        if not _ATOM_NAME.fullmatch(name):
+            raise ValueError(f"invalid atom name: {name!r}")
+        if name in _RESERVED:
+            raise ValueError(f"reserved word cannot be an atom name: {name!r}")
+        _init(self, "name", name)
+
+    def __eq__(self, other):
+        return self.name == other.name if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.name)
 
     def __lt__(self, other: "Atom") -> bool:
         return self.name < other.name
@@ -45,52 +52,91 @@ class Atom:
         return self.name
 
 
-class Formula:
-    """Base class for formula AST nodes; instances are immutable trees."""
+class Formula(Record):
+    """Base class for formula AST nodes; instances are immutable trees.
+
+    `==` walks the tree with an explicit stack and `hash` hashes the printed
+    form, so neither is bounded by the recursion limit."""
 
     __slots__ = ()
 
     def __str__(self) -> str:
         return format_formula(self)
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            kind = type(a)
+            if kind is not type(b):
+                return False
+            if kind in _BINARY:
+                pairs += ((a.right, b.right), (a.left, b.left))
+            elif kind is Not:
+                pairs.append((a.arg, b.arg))
+            elif a._fields() != b._fields():
+                return False
+        return True
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        return hash(format_formula(self))
+
+
 class Const(Formula):
-    value: bool
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool):
+        _init(self, "value", value)
 
 
-@dataclass(frozen=True)
 class AtomRef(Formula):
-    atom: Atom
+    __slots__ = ("atom",)
+
+    def __init__(self, atom: Atom):
+        _init(self, "atom", atom)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    arg: Formula
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Formula):
+        _init(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _init(self, "left", left)
+        _init(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _init(self, "left", left)
+        _init(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _init(self, "left", left)
+        _init(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Iff(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _init(self, "left", left)
+        _init(self, "right", right)
 
 
 TRUE = Const(True)
@@ -100,12 +146,13 @@ _BINARY = (And, Or, Implies, Iff)
 
 
 @total_ordering
-@dataclass(frozen=True)
-class Literal:
+class Literal(Record):
     """An atom or its negation."""
 
-    atom: Atom
-    positive: bool = True
+    __slots__ = ("atom", "positive")
+
+    def __init__(self, atom: Atom, positive: bool = True):
+        self._set(atom, positive)
 
     def negate(self) -> "Literal":
         return Literal(self.atom, not self.positive)
@@ -369,13 +416,12 @@ def format_formula(f: Formula) -> str:
 
 # ----------------------------------------------------- structural queries
 
-@dataclass(frozen=True)
-class StructureReport:
-    is_literal: bool
-    is_clause: bool
-    is_cube: bool
-    is_cnf: bool
-    is_tautology_free_cnf: bool
+class StructureReport(Record):
+    __slots__ = ("is_literal", "is_clause", "is_cube", "is_cnf", "is_tautology_free_cnf")
+
+    def __init__(self, is_literal: bool, is_clause: bool, is_cube: bool,
+                 is_cnf: bool, is_tautology_free_cnf: bool):
+        self._set(is_literal, is_clause, is_cube, is_cnf, is_tautology_free_cnf)
 
 
 def is_literal(f: Formula) -> bool:

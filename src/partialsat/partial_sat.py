@@ -8,8 +8,6 @@ mu = {A1} entails but does not validate (A1 & A2) | (A1 & !A2).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .assignment import Assignment
 from .formula import (
     Atom,
@@ -21,18 +19,20 @@ from .formula import (
     atoms,
     classify,
 )
+from .record import Record
 from .semantics import TruthValue3, eval3, first_falsifying, residual
 from . import limits
 
 
-@dataclass(frozen=True)
-class SatVerdict:
+class SatVerdict(Record):
     """Bundle of both checks; witness is a falsifying total extension,
     present exactly when entails is false."""
 
-    validates: bool
-    entails: bool
-    witness: Assignment | None = None
+    __slots__ = ("validates", "entails", "witness")
+
+    def __init__(self, validates: bool, entails: bool,
+                 witness: Assignment | None = None):
+        self._set(validates, entails, witness)
 
 
 def validates(mu: Assignment, f: Formula) -> bool:

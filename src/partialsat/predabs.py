@@ -11,7 +11,6 @@ produces more cubes than validating mode and usually produces fewer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .assignment import Assignment
 from .formula import (
@@ -31,40 +30,42 @@ from .quantified import (
     exists_validates,
     shannon_expand,
 )
+from .record import Record
 from .semantics import brute_equivalent, brute_satisfiable, residual
 
 
-@dataclass(frozen=True)
-class PredAbsProblem:
+class PredAbsProblem(Record):
     """A base formula plus an ordered list of (label atom, definition)."""
 
-    base: Formula
-    predicates: tuple[tuple[Atom, Formula], ...]
+    __slots__ = ("base", "predicates")
 
-    def __post_init__(self):
-        labels = [label for label, _ in self.predicates]
+    def __init__(self, base: Formula, predicates: tuple[tuple[Atom, Formula], ...]):
+        labels = [label for label, _ in predicates]
         if len(set(labels)) != len(labels):
             raise ValueError("label atoms must be pairwise distinct")
-        hidden = set(atoms(self.base))
-        for _, definition in self.predicates:
+        hidden = set(atoms(base))
+        for _, definition in predicates:
             hidden |= atoms(definition)
         clash = sorted(label.name for label in labels if label in hidden)
         if clash:
             raise ValueError(
                 "label atom(s) collide with formula atoms: " + ", ".join(clash)
             )
+        self._set(base, predicates)
 
 
-@dataclass(frozen=True)
-class ModeComparison:
+class ModeComparison(Record):
     """Cube counts and total literal counts of the two modes, plus whether
     their disjunctions are equivalent."""
 
-    cube_count_validating: int
-    cube_count_entailing: int
-    total_literals_validating: int
-    total_literals_entailing: int
-    equivalent: bool
+    __slots__ = ("cube_count_validating", "cube_count_entailing",
+                 "total_literals_validating", "total_literals_entailing", "equivalent")
+
+    def __init__(self, cube_count_validating: int, cube_count_entailing: int,
+                 total_literals_validating: int, total_literals_entailing: int,
+                 equivalent: bool):
+        self._set(cube_count_validating, cube_count_entailing,
+                  total_literals_validating, total_literals_entailing, equivalent)
 
 
 def problem_from_json(text: str) -> PredAbsProblem:

@@ -9,8 +9,6 @@ the plain checks applied to the Shannon expansion.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .assignment import Assignment, total_assignments
 from .errors import ParseError, ResourceLimitError
 from .formula import (
@@ -27,17 +25,19 @@ from .formula import (
     TokenStream,
 )
 from .partial_sat import validates
+from .record import Record
 from .semantics import first_block, residual, sat_total  # noqa: F401 (perfbench wraps it)
 from . import limits
 
 
-@dataclass(frozen=True)
-class ExistentialFormula:
+class ExistentialFormula(Record):
     """A matrix with an existentially bound atom set; vacuous quantification
     is permitted."""
 
-    matrix: Formula
-    quantified: frozenset[Atom] = field(default_factory=frozenset)
+    __slots__ = ("matrix", "quantified")
+
+    def __init__(self, matrix: Formula, quantified: frozenset[Atom] = frozenset()):
+        self._set(matrix, quantified)
 
     @property
     def free_atoms(self) -> frozenset[Atom]:

@@ -154,7 +154,7 @@ _BINARY_OPCODE = {And: _AND, Or: _OR, Implies: _IMPLIES, Iff: _IFF}
 
 def _table(f: Formula, leaf: dict[str, int], full: int) -> int:
     """Truth table of f from its atoms' tables, keyed by name (an Atom's
-    dataclass hash is recomputed per lookup).  Iterative, so depth is not
+    hash runs Python code per lookup).  Iterative, so depth is not
     bounded by the recursion limit; a right operand is skipped when the
     left one decides the node (0 under & and ->, full under |)."""
     values: list[int] = []

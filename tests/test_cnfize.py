@@ -262,6 +262,18 @@ class TestEntailmentLoss:
                     assert not sat_total(report.cnf, case.witness)
         assert checked > 20
 
+    def test_outcomes_do_not_depend_on_the_atom_cap(self):
+        """With 3 residual atoms over a cap of 2, the "inconsistent" check
+        goes to DPLL, as the entailment check does, instead of raising."""
+        mu = parse_assignment("A1")
+        f = parse("(A1 & A2) | (A1 & !A2) | (A3 & A4)")
+        small, large = (check_entailment_loss(mu, f, atom_cap=cap) for cap in (2, 16))
+        assert small.loss is large.loss is True
+        assert [(c.delta, c.outcome) for c in small.cases] == [
+            (c.delta, c.outcome) for c in large.cases
+        ]
+        assert {c.outcome for c in small.cases} == {"inconsistent", "falsified"}
+
 
 class TestStripTautologies:
     def test_drops_tautological_clause(self):

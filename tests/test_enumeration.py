@@ -25,9 +25,38 @@ from partialsat import (
     validates,
     verify_enumeration,
 )
+from partialsat import enumeration
+from partialsat.enumeration import _Budget, _dpll_walk
 from gen import atom_pool, equivalent_variant, random_formula
 
 GAP = parse("(A1 & A2) | (A1 & !A2)")
+
+
+def ref_dpll_walk(f, budget):
+    """The recursive DPLL walker, one nested generator per decision: the
+    reference that `_dpll_walk` must match cube for cube."""
+    residual = enumeration.residual
+
+    def rec(mu, r):
+        while True:
+            if r == TRUE:
+                yield mu
+                return
+            if r == FALSE:
+                return
+            lit = enumeration.as_literal(r)
+            if lit is None:
+                break
+            mu = mu.bind(lit.atom, lit.positive)
+            r = residual(r, Assignment({lit.atom: lit.positive}))
+        budget.spend()
+        atom = min(atoms(r))
+        for value in (True, False):
+            yield from rec(
+                mu.bind(atom, value), residual(r, Assignment({atom: value}))
+            )
+
+    yield from rec(Assignment({}), f)
 
 
 def _texts(result: EnumResult) -> list[str]:
@@ -242,6 +271,36 @@ class TestDpllEnumerate:
         assert dpll_first_assignment(GAP) == parse_assignment("A1, A2")
         assert dpll_first_assignment(FALSE) is None
         assert dpll_first_assignment(parse("A1 & !A1")) is None
+
+    def test_matches_recursive_walker(self, monkeypatch):
+        """Same cubes in the same order, the same branches spent, and the
+        same residual calls, also when only the first cube is taken."""
+        calls = []
+        real = enumeration.residual
+        monkeypatch.setattr(enumeration, "residual",
+                            lambda f, mu: calls.append(1) or real(f, mu))
+
+        def run(walk, f, first):
+            calls.clear()
+            budget = _Budget(10_000, "DPLL branching")
+            gen = walk(f, budget)
+            try:
+                cubes = (next(gen, None),) if first else tuple(gen)
+            except ValueError as exc:  # an atom-free residual that is not a constant
+                cubes = str(exc)
+            return cubes, budget.used, len(calls)
+
+        rng = random.Random(7010)
+        for _ in range(600):
+            f = random_formula(rng, atom_pool(rng.randint(1, 8)),
+                               max_depth=rng.randint(0, 7), const_chance=0.2)
+            for first in (False, True):
+                assert run(_dpll_walk, f, first) == run(ref_dpll_walk, f, first)
+
+    def test_more_atoms_than_the_recursion_limit(self):
+        f = parse(" & ".join(f"A{i}" for i in range(1200)))
+        (mu,) = dpll_enumerate(f).assignments
+        assert mu == Assignment({a: True for a in atoms(f)})
 
 
 class TestEngineRelationships:

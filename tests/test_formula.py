@@ -215,11 +215,46 @@ class TestPrint:
         assert text == " & ".join(f"d{i}" for i in range(1200))
         assert _same_tree(parse(text), f)
 
+    def test_deep_conjunction_parses_back_equal(self):
+        f = and_all(AtomRef(Atom(f"d{i}")) for i in range(1200))
+        g = parse(str(f))
+        assert g == f and hash(g) == hash(f)
+
     def test_deep_right_nested_implication_prints(self):
         f = AtomRef(Atom("d10000"))
         for i in reversed(range(10_000)):
             f = Implies(AtomRef(Atom(f"d{i}")), f)
         assert str(f) == " -> ".join(f"d{i}" for i in range(10_001))
+
+
+DEPTH = 100_000
+
+
+def _chain(node, right_deep=False, bottom="A"):
+    """DEPTH `!`s over `bottom`, or DEPTH / 2 binary `node`s over the A and
+    B leaves in turn, nested to the left or the right over `bottom`."""
+    f = AtomRef(Atom(bottom))
+    leaves = AtomRef(Atom("A")), AtomRef(Atom("B"))
+    if node is Not:
+        for _ in range(DEPTH):
+            f = Not(f)
+        return f
+    for i in range(1, DEPTH // 2 + 1):
+        leaf = leaves[i % 2]
+        f = node(leaf, f) if right_deep else node(f, leaf)
+    return f
+
+
+class TestDeepEquality:
+    @pytest.mark.parametrize("node,right_deep", [
+        *(pytest.param(node, side, id=f"{node.__name__}-{['left', 'right'][side]}-deep")
+          for node in (And, Or, Implies, Iff) for side in (False, True)),
+        pytest.param(Not, False, id="Not-chain"),
+    ])
+    def test_equality_and_hash_without_recursion(self, node, right_deep):
+        f, twin, other = (_chain(node, right_deep, bottom) for bottom in "AAC")
+        assert f == twin and hash(f) == hash(twin)
+        assert f != other
 
 
 class TestLiteral:
