@@ -10,7 +10,7 @@ delta to exhibit exactly that gap.
 """
 from __future__ import annotations
 
-from .assignment import EMPTY_ASSIGNMENT, Assignment, total_assignments
+from .assignment import Assignment, total_assignments
 from .errors import ResourceLimitError
 from .formula import (
     And,
@@ -284,8 +284,7 @@ def check_entailment_loss(
             outcome = "entailed"
             recovered = True
         else:
-            r = residual(result.cnf, extended)
-            unsat = entails(EMPTY_ASSIGNMENT, Not(r), atom_cap=atom_cap,
+            unsat = entails(extended, Not(result.cnf), atom_cap=atom_cap,
                             branch_budget=branch_budget)
             outcome = "inconsistent" if unsat else "falsified"
         cases.append(LossCase(delta=delta, outcome=outcome, witness=witness))

@@ -416,8 +416,12 @@ def _dpll_walk(f: Formula, budget: _Budget):
                 break
             lit = as_literal(r)
             if lit is None:
+                r_atoms = atoms(r)
+                if not r_atoms:  # an atom-free input that is not yet folded
+                    r = residual(r, mu)
+                    continue
                 budget.spend()
-                atom = min(atoms(r))
+                atom = min(r_atoms)
                 branches += ((mu, r, (atom, False)), (mu, r, (atom, True)))
                 break
             mu = mu.bind(lit.atom, lit.positive)

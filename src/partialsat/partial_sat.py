@@ -21,7 +21,7 @@ from .formula import (
 )
 from .record import Record
 from .semantics import TruthValue3, eval3, first_falsifying, residual
-from . import limits
+from . import enumeration, limits
 
 
 class SatVerdict(Record):
@@ -63,36 +63,17 @@ def _entails_with_witness(
         return True, None
     if r == FALSE:
         return False, _fill_false(universe, mu)
-    r_atoms = atoms(r)
     if backend == "brute" or (
-        backend == "auto" and len(r_atoms) <= limits.max_atoms(atom_cap)
+        backend == "auto" and len(atoms(r)) <= limits.max_atoms(atom_cap)
     ):
         rho = first_falsifying(r, atom_cap)
-        if rho is None:
-            return True, None
     else:
-        rho = _refute_by_dpll(r, branch_budget)
-        if rho is None:
-            return True, None
+        # a validating cube of ¬r binds only atoms of r and falsifies r
+        negated = r.arg if isinstance(r, Not) else Not(r)
+        rho = enumeration.dpll_first_assignment(negated, branch_budget)
+    if rho is None:
+        return True, None
     return False, _fill_false(universe, mu.union(rho))
-
-
-def _refute_by_dpll(r: Formula, branch_budget: int | None) -> Assignment | None:
-    """Search a total assignment over atoms(r) falsifying r, via CNF-izing
-    its negation; None means r is valid.
-
-    CNF-ization only preserves satisfiability over total assignments, which
-    is all this refutation needs.
-    """
-    from .cnfize import tseitin
-    from .enumeration import dpll_first_assignment
-
-    result = tseitin(Not(r))
-    model = dpll_first_assignment(result.cnf, branch_budget)
-    if model is None:
-        return None
-    total = _fill_false(set(atoms(result.cnf)), model)
-    return total.restrict(atoms(r))
 
 
 def entails(

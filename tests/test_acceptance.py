@@ -1,7 +1,9 @@
 """Acceptance gate: one test per release criterion, reported line by line.
 
 Criteria 1-4 pin the worked examples byte for byte; criteria 5-7 run the
-semantic property suites over fixed-seed random corpora.
+semantic property suites over fixed-seed random corpora.  The DPLL
+refutation behind criterion 7 is also checked at 12-14 atoms, where it
+and the exhaustive sweep actually differ.
 """
 import random
 import time
@@ -9,10 +11,15 @@ from functools import lru_cache
 
 from partialsat import (
     Assignment,
+    AtomRef,
     EMPTY_ASSIGNMENT,
     ExistentialFormula,
+    Implies,
+    Not,
+    Or,
     SatVerdict,
     TRUE,
+    and_all,
     atoms,
     brute_equivalent,
     brute_valid,
@@ -250,3 +257,46 @@ def test_criterion_7_entailment_backends_agree():
             expected = brute_valid(residual(f, mu))
             assert entails(mu, f, backend="brute") == expected
             assert entails(mu, f, backend="dpll") == expected
+
+
+@lru_cache(maxsize=None)
+def _refutation_corpus() -> tuple:
+    """Formulas over 12-14 atoms; every fourth one is valid by construction."""
+    rng = random.Random(20260819)
+    pool = atom_pool(14)
+    corpus = []
+    while len(corpus) < 120:
+        f = random_formula(rng, pool, max_depth=8)
+        if 12 <= len(atoms(f)) <= 14:
+            if len(corpus) % 4 == 3:
+                f = Or(f, Not(equivalent_variant(rng, f)))
+            corpus.append(f)
+    return tuple(corpus)
+
+
+def test_dpll_refutation_agrees_with_the_sweep_at_12_to_14_atoms():
+    rng = random.Random(20260820)
+    pool = atom_pool(14)
+    outcomes = set()
+    for f in _refutation_corpus():
+        for bind_chance in (0.0, 0.3, 0.6):
+            mu = random_partial_assignment(rng, pool, bind_chance)
+            expected = brute_valid(residual(f, mu))
+            outcomes.add(expected)
+            for options in ({"backend": "dpll"}, {"atom_cap": 3}):
+                v = verdict(mu, f, **options)
+                assert v.entails == expected, (str(f), str(mu), options)
+                if not expected:
+                    w = v.witness
+                    assert w.domain == atoms(f) | mu.domain
+                    assert w.restrict(mu.domain) == mu
+                    assert eval3(f, w) is TruthValue3.F
+    assert outcomes == {True, False}
+
+
+def test_dpll_refutation_decides_a_40_atom_chain_within_1000_branches():
+    """chain(40) = (A1 -> A2) & ... & (A39 -> A40) -> (A1 -> A40) is valid,
+    and refuting its negation needs no exhaustive search."""
+    a = [AtomRef(atom) for atom in atom_pool(40)]
+    chain = Implies(and_all(Implies(p, q) for p, q in zip(a, a[1:])), Implies(a[0], a[-1]))
+    assert entails(EMPTY_ASSIGNMENT, chain, backend="dpll", branch_budget=1000) is True

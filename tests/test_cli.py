@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from partialsat import Atom, TruthValue3, eval3, parse, parse_assignment
 from partialsat.cli import run
 
 GAP = "(A1 & A2) | (A1 & !A2)"
@@ -82,11 +83,23 @@ class TestCheck:
         assert err.startswith("error:")
 
     def test_recursion_limit_exits_3_not_false(self, capsys):
-        deep_and = " & ".join(f"d{i}" for i in range(1200))
-        code, out, err = invoke(capsys, "check", "-f", deep_and, "-a", "")
+        deep_parens = "(" * 500 + "d0" + ")" * 500
+        code, out, err = invoke(capsys, "check", "-f", deep_parens, "-a", "")
         assert code == 3
         assert out == ""
         assert err == "error: formula nesting exceeds the recursion limit\n"
+
+    def test_deep_chain_is_decided(self, capsys):
+        deep_and = " & ".join(f"d{i}" for i in range(1200))
+        code, out, _ = invoke(capsys, "check", "-f", deep_and, "-a", "", "--json")
+        assert code == 0
+        answer = json.loads(out)
+        assert answer["validates"] is False and answer["entails"] is False
+        witness = parse_assignment(", ".join(answer["witness"]))
+        assert witness.domain == {Atom(f"d{i}") for i in range(1200)}
+        assert eval3(parse(deep_and), witness) is TruthValue3.F
+        code, out, _ = invoke(capsys, "check", "-f", deep_and, "--mode", "entails")
+        assert code == 1
 
     def test_inconsistent_assignment_exits_2(self, capsys):
         code, _, err = invoke(capsys, "check", "-f", "A1", "-a", "A1, !A1")
@@ -151,6 +164,11 @@ class TestEnumerate:
 
     def test_tautology_enumerates_the_empty_cube(self, capsys):
         _, out, _ = invoke(capsys, "enumerate", "-f", "A1 | !A1", "--engine", "obdd")
+        assert out == "true\n"
+
+    def test_atom_free_input_with_dpll(self, capsys):
+        code, out, _ = invoke(capsys, "enumerate", "-f", "true & true", "--engine", "dpll")
+        assert code == 0
         assert out == "true\n"
 
     def test_dedup(self, capsys):
