@@ -29,6 +29,7 @@ from .formula import (
     classify,
     clause_literals,
     cnf_clauses,
+    fold,
     is_literal,
 )
 from .partial_sat import _entails_with_witness, entails, validates
@@ -72,18 +73,11 @@ class LossReport(Record):
         self._set(mode, loss, original, cnf, fresh_atoms, cases)
 
 
-def _collapse_double_negation(f: Formula) -> Formula:
-    if isinstance(f, Not):
-        inner = _collapse_double_negation(f.arg)
-        if isinstance(inner, Not):
-            return inner.arg
-        return Not(inner)
-    if isinstance(f, _BINARY_TYPES):
-        return type(f)(
-            _collapse_double_negation(f.left),
-            _collapse_double_negation(f.right),
-        )
-    return f
+def _collapse_double_negation(node: Formula, a: Formula, b: Formula | None = None) -> Formula:
+    """`fold` step: a `Not` over a collapsed `Not` gives back its argument."""
+    if type(node) is Not:
+        return a.arg if type(a) is Not else Not(a)
+    return type(node)(a, b)
 
 
 def _negate_literal(lit: Formula) -> Formula:
@@ -117,34 +111,32 @@ def _labelable_occurrences(f: Formula) -> list[tuple[int, int, Formula]]:
     """All binary-connective-over-literals subformulas as
     (depth, preorder index, node)."""
     found: list[tuple[int, int, Formula]] = []
+    todo = [(f, 0)]
     index = 0
-
-    def walk(node: Formula, depth: int) -> None:
-        nonlocal index
+    while todo:
+        node, depth = todo.pop()
         index += 1
         if isinstance(node, Not):
-            walk(node.arg, depth + 1)
+            todo.append((node.arg, depth + 1))
         elif isinstance(node, _BINARY_TYPES):
             if is_literal(node.left) and is_literal(node.right):
                 found.append((depth, index, node))
-            walk(node.left, depth + 1)
-            walk(node.right, depth + 1)
-
-    walk(f, 0)
+            todo += ((node.right, depth + 1), (node.left, depth + 1))
     return found
 
 
 def _substitute(f: Formula, target: Formula, replacement: Formula) -> Formula:
-    if f == target:
-        return replacement
-    if isinstance(f, Not):
-        return Not(_substitute(f.arg, target, replacement))
-    if isinstance(f, _BINARY_TYPES):
-        return type(f)(
-            _substitute(f.left, target, replacement),
-            _substitute(f.right, target, replacement),
-        )
-    return f
+    """f with every occurrence of the binary node `target` replaced.  A node
+    whose operands come back unchanged is kept, not rebuilt; only such a
+    node can equal the target, which cannot contain itself."""
+    def swap(node: Formula, a: Formula, b: Formula | None = None) -> Formula:
+        if type(node) is Not:
+            return node if a is node.arg else Not(a)
+        if a is node.left and b is node.right:
+            return replacement if type(node) is type(target) and node == target else node
+        return type(node)(a, b)
+
+    return fold(f, swap)
 
 
 def tseitin(f: Formula) -> TseitinResult:
@@ -155,7 +147,7 @@ def tseitin(f: Formula) -> TseitinResult:
     that is already a literal or constant passes through unchanged.  Fresh
     atoms are named B1, B2, ... skipping names the input already uses.
     """
-    g = _collapse_double_negation(residual(f, Assignment({})))
+    g = fold(residual(f, Assignment({})), _collapse_double_negation)
     if isinstance(g, Const) or is_literal(g):
         return TseitinResult(cnf=g, fresh_atoms=(), definitions=())
     used = {a.name for a in atoms(g)}

@@ -23,6 +23,7 @@ from .formula import (
     TRUE,
     as_literal,
     atoms,
+    fold,
     or_all,
 )
 from .record import Record
@@ -231,16 +232,15 @@ def build_obdd(
         apply_memo[key] = result
         return result
 
-    def translate(node: Formula) -> int:
+    def leaf(node: Formula) -> int:
         if isinstance(node, Const):
             return 1 if node.value else 0
-        if isinstance(node, AtomRef):
-            return bdd._mk(level_of[node.atom], 0, 1, budget)
-        if isinstance(node, Not):
-            return negate(translate(node.arg))
-        return apply(type(node), translate(node.left), translate(node.right))
+        return bdd._mk(level_of[node.atom], 0, 1, budget)
 
-    bdd.root = translate(f)
+    def combine(node: Formula, u: int, v: int | None = None) -> int:
+        return negate(u) if v is None else apply(type(node), u, v)
+
+    bdd.root = fold(f, combine, leaf)
     return bdd
 
 
@@ -286,21 +286,19 @@ def obdd_to_formula(bdd: Obdd) -> Formula:
     return walk(bdd.root)
 
 
-def _desugar(f: Formula) -> Formula:
-    """Rewrite into the not/and fragment, preserving three-valued semantics."""
-    if isinstance(f, (Const, AtomRef)):
-        return f
-    if isinstance(f, Not):
-        return Not(_desugar(f.arg))
-    left, right = _desugar(f.left), _desugar(f.right)
-    if isinstance(f, And):
-        return And(left, right)
-    if isinstance(f, Or):
-        return Not(And(Not(left), Not(right)))
-    if isinstance(f, Implies):
-        return Not(And(left, Not(right)))
-    assert isinstance(f, Iff)
-    return And(Not(And(left, Not(right))), Not(And(right, Not(left))))
+def _desugar(node: Formula, a: Formula, b: Formula | None = None) -> Formula:
+    """`fold` step into the not/and fragment, keeping three-valued semantics."""
+    kind = type(node)
+    if kind is Not:
+        return Not(a)
+    if kind is And:
+        return And(a, b)
+    if kind is Or:
+        return Not(And(Not(a), Not(b)))
+    if kind is Implies:
+        return Not(And(a, Not(b)))
+    assert kind is Iff
+    return And(Not(And(a, Not(b))), Not(And(b, Not(a))))
 
 
 class _Budget:
@@ -333,19 +331,22 @@ def tableaux_enumerate(
     budget = _Budget(limits.branch_budget(branch_budget), "tableaux branching")
     collected: list[Assignment] = []
 
-    def expand(pending: list[Formula], literals: dict[Atom, bool]) -> None:
-        pending = list(pending)
+    # Open branches wait on an explicit stack as (pending, literals), the
+    # left child of a split on top: depth-first, left branch first.
+    branches: list = [([fold(f, _desugar)], {})]
+    while branches:
+        pending, literals = branches.pop()
         literals = dict(literals)
         while pending:
             x = pending.pop(0)
             if isinstance(x, Const):
                 if x.value:
                     continue
-                return
+                break
             if isinstance(x, AtomRef):
                 known = literals.get(x.atom)
                 if known is False:
-                    return
+                    break
                 literals[x.atom] = True
                 continue
             if isinstance(x, And):
@@ -356,12 +357,12 @@ def tableaux_enumerate(
             inner = x.arg
             if isinstance(inner, Const):
                 if inner.value:
-                    return
+                    break
                 continue
             if isinstance(inner, AtomRef):
                 known = literals.get(inner.atom)
                 if known is True:
-                    return
+                    break
                 literals[inner.atom] = False
                 continue
             if isinstance(inner, Not):
@@ -369,12 +370,12 @@ def tableaux_enumerate(
                 continue
             assert isinstance(inner, And)
             budget.spend()
-            expand(pending + [Not(inner.left)], literals)
-            expand(pending + [Not(inner.right)], literals)
-            return
-        collected.append(Assignment(literals))
+            branches += ((pending + [Not(inner.right)], literals),
+                         (pending + [Not(inner.left)], literals))
+            break
+        else:
+            collected.append(Assignment(literals))
 
-    expand([_desugar(f)], {})
     if dedup:
         unique: list[Assignment] = []
         for mu in collected:

@@ -22,7 +22,7 @@ from .errors import ParseError
 from .record import Record
 
 _ATOM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_RESERVED = {"true", "false", "exists"}
+_RESERVED = {"true": "TRUE", "false": "FALSE", "exists": "EXISTS"}  # word: token kind
 _init = object.__setattr__
 
 
@@ -184,6 +184,32 @@ def atoms(f: Formula) -> frozenset[Atom]:
     return frozenset(found)
 
 
+def fold(f: Formula, combine, leaf=None):
+    """Post-order fold of f with an explicit stack, so depth is not bounded
+    by the recursion limit.  A constant or atom becomes `leaf(node)` (itself
+    when `leaf` is None); a `Not` becomes `combine(node, a)` and a binary
+    node `combine(node, a, b)`, from its operands' results, left first."""
+    values: list = []
+    todo: list = [f]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is tuple:  # (node,): its operands' results are on top
+            node = node[0]
+            if type(node) is Not:
+                values[-1] = combine(node, values[-1])
+            else:
+                b = values.pop()
+                values[-1] = combine(node, values[-1], b)
+        elif kind is Not:
+            todo += ((node,), node.arg)
+        elif kind in _BINARY:
+            todo += ((node,), node.right, node.left)
+        else:
+            values.append(node if leaf is None else leaf(node))
+    return values[0]
+
+
 def and_all(parts: Iterable[Formula], empty: Formula = TRUE) -> Formula:
     """Left-associated conjunction of parts; `empty` when parts is empty."""
     result: Formula | None = None
@@ -257,15 +283,7 @@ def tokenize(text: str) -> list[Token]:
         m = _ATOM_NAME.match(text, i)
         if m:
             word = m.group()
-            if word == "true":
-                kind = "TRUE"
-            elif word == "false":
-                kind = "FALSE"
-            elif word == "exists":
-                kind = "EXISTS"
-            else:
-                kind = "NAME"
-            tokens.append(Token(kind, word, line, col))
+            tokens.append(Token(_RESERVED.get(word, "NAME"), word, line, col))
             i = m.end()
             col += len(word)
             continue
@@ -291,69 +309,66 @@ class TokenStream:
     def expect(self, kind: str, what: str) -> Token:
         tok = self.peek()
         if tok.kind != kind:
-            shown = tok.text if tok.kind != "EOF" else "end of input"
-            raise ParseError(f"expected {what}, found {shown!r}", tok.line, tok.column)
+            raise _expected(what, tok)
         return self.next()
 
 
-def parse_formula_body(stream: TokenStream) -> Formula:
-    """Parse one formula from the stream, leaving trailing tokens unconsumed."""
-    return _parse_iff(stream)
-
-
-def _parse_iff(s: TokenStream) -> Formula:
-    left = _parse_implies(s)
-    while s.peek().kind == "IFF":
-        s.next()
-        left = Iff(left, _parse_implies(s))
-    return left
-
-
-def _parse_implies(s: TokenStream) -> Formula:
-    left = _parse_or(s)
-    if s.peek().kind == "IMPLIES":
-        s.next()
-        return Implies(left, _parse_implies(s))
-    return left
-
-
-def _parse_or(s: TokenStream) -> Formula:
-    left = _parse_and(s)
-    while s.peek().kind == "OR":
-        s.next()
-        left = Or(left, _parse_and(s))
-    return left
-
-
-def _parse_and(s: TokenStream) -> Formula:
-    left = _parse_not(s)
-    while s.peek().kind == "AND":
-        s.next()
-        left = And(left, _parse_not(s))
-    return left
-
-
-def _parse_not(s: TokenStream) -> Formula:
-    tok = s.peek()
-    if tok.kind == "NOT":
-        s.next()
-        return Not(_parse_not(s))
-    if tok.kind == "TRUE":
-        s.next()
-        return TRUE
-    if tok.kind == "FALSE":
-        s.next()
-        return FALSE
-    if tok.kind == "NAME":
-        s.next()
-        return AtomRef(Atom(tok.text))
-    if tok.kind == "LPAREN":
-        s.next()
-        inner = _parse_iff(s)
-        s.expect("RPAREN", "')'")
-        return inner
+def _expected(what: str, tok: Token) -> ParseError:
     shown = tok.text if tok.kind != "EOF" else "end of input"
-    raise ParseError(f"expected a formula, found {shown!r}", tok.line, tok.column)
+    return ParseError(f"expected {what}, found {shown!r}", tok.line, tok.column)
+
+
+# Per connective: its operator, its precedence level (loosest first; atoms
+# and constants are 6) and the least level each operand may have without
+# parentheses.  The printer and the parser both read it.  A same-level
+# right operand of a left-associative connective, and a same-level left
+# operand of ->, are parenthesized to survive the parse.
+_SYNTAX = {
+    Iff: (" <-> ", 1, 1, 2),
+    Implies: (" -> ", 2, 3, 2),
+    Or: (" | ", 3, 3, 4),
+    And: (" & ", 4, 4, 5),
+    Not: ("!", 5, None, 5),
+}
+_LEAF_SYNTAX = ("", 6, None, None)
+_INFIX = {op.strip(): (kind, left) for kind, (op, _, left, _) in _SYNTAX.items() if left}
+
+
+def parse_formula_body(stream: TokenStream) -> Formula:
+    """Parse one formula from the stream, leaving trailing tokens unconsumed.
+
+    One loop over operand and operator stacks (None marks an open
+    parenthesis), so depth is not bounded by the recursion limit.  Stacked
+    connectives that may stand unparenthesized as an infix connective's
+    left operand (per `_SYNTAX`) are applied before it is pushed."""
+    operands: list[Formula] = []
+    pending: list = []
+    while True:
+        tok = stream.next()
+        if tok.kind == "NAME":
+            operands.append(AtomRef(Atom(tok.text)))
+        elif tok.kind == "NOT" or tok.kind == "LPAREN":
+            pending.append(Not if tok.kind == "NOT" else None)
+            continue
+        elif tok.kind == "TRUE" or tok.kind == "FALSE":
+            operands.append(TRUE if tok.kind == "TRUE" else FALSE)
+        else:
+            raise _expected("a formula", tok)
+        while True:  # after an operand: an infix connective, ')' or the end
+            tok = stream.peek()
+            kind, least = _INFIX.get(tok.text, (None, 0))
+            while pending and pending[-1] is not None and _SYNTAX[pending[-1]][1] >= least:
+                op = pending.pop()
+                arg = operands.pop()
+                operands.append(Not(arg) if op is Not else op(operands.pop(), arg))
+            if kind is not None:
+                pending.append(kind)
+                stream.next()
+                break
+            if not pending:
+                return operands[0]
+            stream.expect("RPAREN", "')'")
+            pending.pop()
 
 
 def parse(text: str) -> Formula:
@@ -368,21 +383,6 @@ def parse(text: str) -> Formula:
 
 
 # ---------------------------------------------------------------- printer
-
-# Per connective: its operator, its precedence level (loosest first; atoms
-# and constants are 6) and the least level each operand may have without
-# parentheses.  A same-level right operand of a left-associative
-# connective, and a same-level left operand of ->, are parenthesized to
-# survive the parse.
-_SYNTAX = {
-    Iff: (" <-> ", 1, 1, 2),
-    Implies: (" -> ", 2, 3, 2),
-    Or: (" | ", 3, 3, 4),
-    And: (" & ", 4, 4, 5),
-    Not: ("!", 5, None, 5),
-}
-_LEAF_SYNTAX = ("", 6, None, None)
-
 
 def _operand(f: Formula, least: int) -> tuple:
     """f in stack order (last out first), parenthesized if its level is

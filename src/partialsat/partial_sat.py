@@ -18,6 +18,7 @@ from .formula import (
     TRUE,
     atoms,
     classify,
+    fold,
 )
 from .record import Record
 from .semantics import TruthValue3, eval3, first_falsifying, residual
@@ -107,24 +108,15 @@ def verdict(
     return SatVerdict(validates=v, entails=e, witness=witness)
 
 
-def _atom_counts(f: Formula) -> dict[Atom, int]:
-    counts: dict[Atom, int] = {}
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, AtomRef):
-            counts[node.atom] = counts.get(node.atom, 0) + 1
-        elif isinstance(node, Not):
-            stack.append(node.arg)
-        elif hasattr(node, "left"):
-            stack.append(node.left)
-            stack.append(node.right)
-    return counts
-
-
 def most_frequent_atom(f: Formula) -> Atom | None:
     """The most frequently occurring atom of f, ties broken lexicographically."""
-    counts = _atom_counts(f)
+    counts: dict[Atom, int] = {}
+
+    def count(node: Formula) -> None:
+        if isinstance(node, AtomRef):
+            counts[node.atom] = counts.get(node.atom, 0) + 1
+
+    fold(f, lambda node, *operands: None, count)
     if not counts:
         return None
     return min(counts, key=lambda a: (-counts[a], a))

@@ -8,8 +8,9 @@ class Record:
     """Immutable value object whose fields are its class's `__slots__`, set
     once in `__init__` by `_set` or `object.__setattr__`.  Records of the
     same exact class are equal when their fields are; the hash is that of
-    the field tuple and the repr is `Name(field=value, ...)`.  Assigning or
-    deleting an attribute raises; copies and pickles are rebuilt through
+    the field tuple and the repr is `Name(field=value, ...)`, built on an
+    explicit stack so that records nested to any depth print.  Assigning
+    or deleting an attribute raises; copies and pickles are rebuilt through
     `__init__`."""
 
     __slots__ = ()
@@ -30,8 +31,22 @@ class Record:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({shown})"
+        out: list[str] = []
+        todo: list = [self]
+        while todo:
+            item = todo.pop()
+            if type(item) is str:
+                out.append(item)
+                continue
+            todo.append(")")
+            for i in reversed(range(len(item.__slots__))):
+                name = item.__slots__[i]
+                value = getattr(item, name)
+                if type(value).__repr__ is not Record.__repr__:
+                    value = repr(value)
+                todo += (value, f"{', ' if i else ''}{name}=")
+            todo.append(f"{type(item).__qualname__}(")
+        return "".join(out)
 
     def __reduce__(self):
         return type(self), self._fields()

@@ -201,9 +201,9 @@ def first_block(
 ) -> Assignment | None:
     """The first total eta over `leading`, lexicographic and true first,
     under which some (by default no) total assignment over `trailing`
-    satisfies f with `fixed`, united with `fixed`.  Each eta owns a block of
-    2^len(trailing) rows of a table over the last max(len(trailing),
-    _CHUNK_ATOMS) atoms."""
+    satisfies f with `fixed`, united with `fixed` (which binds none of
+    them).  Each eta owns a block of 2^len(trailing) rows of a table over
+    the last max(len(trailing), _CHUNK_ATOMS) atoms."""
     avs = [*leading, *trailing]
     b = len(trailing)
     split = max(0, len(avs) - max(b, _CHUNK_ATOMS))
@@ -211,9 +211,9 @@ def first_block(
     full = (1 << (1 << len(low))) - 1
     starts = _tile(1, 1 << b, 1 << len(low))
     leaf = {a.name: mask for a, mask in zip(low, _row_masks(len(low)))}
-    for prefix in total_assignments(avs[:split]):
-        for lit in (*fixed.literals(), *prefix.literals()):
-            leaf[lit.atom.name] = full if lit.positive else 0
+    for prefix in total_assignments(avs[:split]) if split else (EMPTY_ASSIGNMENT,):
+        for a, v in (*fixed._bindings.items(), *prefix._bindings.items()):
+            leaf[a.name] = full if v else 0
         t = _table(f, leaf, full)
         shift = 1
         while shift < 1 << b:  # OR each block onto its first row
@@ -224,7 +224,7 @@ def first_block(
             r = ((hits & -hits).bit_length() - 1) >> b
             n = len(low) - b
             rest = {a: not (r >> (n - 1 - i)) & 1 for i, a in enumerate(low[:n])}
-            return fixed.union(prefix).union(Assignment(rest))
+            return Assignment({**fixed._bindings, **prefix._bindings, **rest})
     return None
 
 

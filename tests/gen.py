@@ -108,3 +108,16 @@ def equivalent_variant(rng: random.Random, f: Formula) -> Formula:
     if choice == 2:
         return And(f, Const(True))
     return And(f, f)
+
+
+def deep_chain(node: type, depth: int, right_deep: bool = False) -> Formula:
+    """`depth` nested `Not`s over A0, or `depth` binary `node`s over the
+    leaves A0, A1, ..., A9 in turn, nested to the left or to the right."""
+    leaves = [AtomRef(Atom(f"A{i}")) for i in range(10)]
+    f = leaves[0]
+    for i in range(1, depth + 1):
+        if node is Not:
+            f = Not(f)
+        else:
+            f = node(leaves[i % 10], f) if right_deep else node(f, leaves[i % 10])
+    return f

@@ -83,11 +83,18 @@ class TestCheck:
         assert err.startswith("error:")
 
     def test_recursion_limit_exits_3_not_false(self, capsys):
-        deep_parens = "(" * 500 + "d0" + ")" * 500
-        code, out, err = invoke(capsys, "check", "-f", deep_parens, "-a", "")
+        # OBDD `apply` still recurses once per level of the diagram
+        deep_and = " & ".join(f"d{i}" for i in range(1200))
+        code, out, err = invoke(capsys, "enumerate", "-f", deep_and, "--engine", "obdd")
         assert code == 3
         assert out == ""
         assert err == "error: formula nesting exceeds the recursion limit\n"
+
+    def test_deep_parentheses_are_decided(self, capsys):
+        deep_parens = "(" * 500 + "d0" + ")" * 500
+        code, out, _ = invoke(capsys, "check", "-f", deep_parens, "-a", "")
+        assert code == 0
+        assert out == "validates: false\nentails: false\nwitness: !d0\n"
 
     def test_deep_chain_is_decided(self, capsys):
         deep_and = " & ".join(f"d{i}" for i in range(1200))
@@ -331,6 +338,13 @@ class TestCnfize:
             "--check-loss", "validating", "--sweep-cap", "1",
         )
         assert code == 3
+
+    def test_deep_negation_file(self, capsys, tmp_path):
+        path = tmp_path / "deep.txt"
+        path.write_text("!" * 100_000 + "A1\n")
+        code, out, _ = invoke(capsys, "cnfize", "--file", str(path))
+        assert code == 0
+        assert out == "A1\n"
 
 
 class TestShannon:

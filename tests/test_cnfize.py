@@ -27,6 +27,7 @@ from partialsat import (
     validates,
 )
 from gen import atom_pool, random_formula, random_partial_assignment, size
+from oracles import ref_tseitin
 
 
 class TestTseitinGoldens:
@@ -142,6 +143,17 @@ class TestTseitinProperties:
             clauses = cnf_clauses(cnf) or []
             lit_count = sum(len(clause_literals(c)) for c in clauses)
             assert lit_count <= 12 * size(f)
+
+    def test_matches_recursive_reference(self):
+        """Same CNF, fresh atoms and definitions, in the same order."""
+        rng = random.Random(5005)
+        for _ in range(600):
+            pool = atom_pool(rng.randint(1, 8))
+            f = random_formula(rng, pool, max_depth=rng.randint(0, 7), const_chance=0.1)
+            result, expected = tseitin(f), ref_tseitin(f)
+            assert result.cnf == expected.cnf
+            assert result.fresh_atoms == expected.fresh_atoms
+            assert result.definitions == expected.definitions
 
     def test_verdicts_are_conserved_from_cnf_to_original(self):
         """Any delta making mu validate (entail) the CNF certifies that mu

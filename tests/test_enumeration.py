@@ -28,6 +28,8 @@ from partialsat import (
 from partialsat import enumeration
 from partialsat.enumeration import _Budget, _dpll_walk
 from gen import atom_pool, equivalent_variant, random_formula
+import oracles
+from oracles import ref_fold, ref_tableaux
 
 GAP = parse("(A1 & A2) | (A1 & !A2)")
 
@@ -103,6 +105,26 @@ class TestObddStructure:
     def test_node_budget(self):
         with pytest.raises(ResourceLimitError):
             build_obdd(parse("A1 <-> A2"), node_budget=1)
+
+    def test_matches_recursive_translation(self, monkeypatch):
+        """The same diagram, node store and budget outcome as translating
+        with a recursive fold."""
+        def run(f, budget):
+            try:
+                bdd = build_obdd(f, node_budget=budget)
+            except ResourceLimitError as exc:
+                return "limit", str(exc)
+            return bdd.signature(), bdd._nodes, bdd.root
+
+        rng = random.Random(7008)
+        corpus = [random_formula(rng, atom_pool(rng.randint(1, 8)),
+                                 max_depth=rng.randint(0, 7), const_chance=0.1)
+                  for _ in range(600)]
+        budgets = [rng.choice((None, rng.randint(0, 12))) for _ in corpus]
+        ours = [run(f, budget) for f, budget in zip(corpus, budgets)]
+        monkeypatch.setattr(enumeration, "fold", ref_fold)
+        assert ours == [run(f, budget) for f, budget in zip(corpus, budgets)]
+        assert 50 < sum(outcome[0] == "limit" for outcome in ours) < 550
 
     def test_node_budget_env_override(self, monkeypatch):
         monkeypatch.setenv("PARTIALSAT_NODE_BUDGET", "1")
@@ -219,6 +241,35 @@ class TestTableauxEnumerate:
         monkeypatch.setenv("PARTIALSAT_BRANCH_BUDGET", "0")
         with pytest.raises(ResourceLimitError):
             tableaux_enumerate(GAP)
+
+    def test_matches_recursive_expansion(self, monkeypatch):
+        """The same cubes, splits and budget errors, interleaved in the same
+        order, as expanding one recursive call per split."""
+        events = []
+        spend, cube = _Budget.spend, enumeration.Assignment
+        monkeypatch.setattr(_Budget, "spend", lambda budget: events.append("split")
+                            or spend(budget))
+        for module in (enumeration, oracles):
+            monkeypatch.setattr(module, "Assignment", lambda literals: events.append(
+                sorted(literals.items())) or cube(literals))
+
+        def run(expand, f, budget):
+            events.clear()
+            try:
+                listing = expand(f, budget)
+            except ResourceLimitError as exc:
+                return "limit", str(exc), events[:]
+            return listing, events[:]
+
+        def iterative(f, budget):
+            return tableaux_enumerate(f, budget).assignments
+
+        for seed, count in ((7004, 200), (7005, 150)):
+            rng = random.Random(seed)
+            for _ in range(count):
+                f = random_formula(rng, atom_pool(5), max_depth=4)
+                for budget in (None, rng.randint(0, 6)):
+                    assert run(iterative, f, budget) == run(ref_tableaux, f, budget)
 
     def test_branch_disjunction_covers_the_formula(self):
         rng = random.Random(7005)

@@ -23,7 +23,9 @@ from partialsat import (
     format_formula,
     parse,
 )
+from partialsat.formula import tokenize
 from gen import atom_pool, random_formula
+from oracles import ref_parse
 
 A1, A2, A3 = Atom("A1"), Atom("A2"), Atom("A3")
 rA1, rA2, rA3 = AtomRef(A1), AtomRef(A2), AtomRef(A3)
@@ -105,6 +107,66 @@ class TestParse:
     def test_reserved_word_not_an_atom(self):
         with pytest.raises(ParseError):
             parse("exists")
+
+    def test_matches_recursive_parser(self):
+        rng = random.Random(1003)
+        for _ in range(2500):
+            pool = atom_pool(rng.randint(1, 8))
+            f = random_formula(rng, pool, max_depth=rng.randint(0, 8), const_chance=0.2)
+            for text in (str(f), _fully_parenthesized(f)):
+                assert parse(text) == ref_parse(text) == f
+
+    def test_errors_match_recursive_parser(self):
+        """Seeded token soup, half of it a mutated printed formula: both
+        parsers return equal trees or raise the same error at the same
+        place."""
+        rng = random.Random(1004)
+        parsed = 0
+        for _ in range(12_000):
+            if rng.random() < 0.5:
+                words = [rng.choice(_SOUP) for _ in range(rng.randint(0, 12))]
+            else:
+                f = random_formula(rng, atom_pool(4), max_depth=rng.randint(0, 5))
+                words = _words(_fully_parenthesized(f) if rng.random() < 0.5 else str(f))
+                for _ in range(rng.randint(0, 2)):
+                    at = rng.randint(0, len(words))
+                    edit = rng.randrange(3)
+                    if edit == 0 or not words[at:]:
+                        words.insert(at, rng.choice(_SOUP))
+                    elif edit == 1:
+                        del words[at]
+                    else:
+                        words[at] = rng.choice(_SOUP)
+            text = rng.choice((" ", "")).join(words)
+            ours, theirs = _outcome(parse, text), _outcome(ref_parse, text)
+            assert ours == theirs, text
+            parsed += ours[0] == "parsed"
+        assert 1000 < parsed < 11_000
+
+
+_SOUP = ["A1", "A2", "true", "false", "exists", "!", "&", "|", "->", "<->", "(", ")",
+         ".", ",", "\n", "# c\n"]
+
+
+def _words(text):
+    """The lexemes of text, in order."""
+    return [tok.text for tok in tokenize(text) if tok.kind != "EOF"]
+
+
+def _outcome(parser, text):
+    try:
+        return ("parsed", parser(text))
+    except ParseError as exc:
+        return ("error", exc.message, exc.line, exc.column)
+
+
+def _fully_parenthesized(f):
+    if isinstance(f, Not):
+        return f"!({_fully_parenthesized(f.arg)})"
+    if isinstance(f, (And, Or, Implies, Iff)):
+        op = {And: "&", Or: "|", Implies: "->", Iff: "<->"}[type(f)]
+        return f"({_fully_parenthesized(f.left)}) {op} ({_fully_parenthesized(f.right)})"
+    return str(f)
 
 
 _LEVEL_IFF, _LEVEL_IMPLIES, _LEVEL_OR, _LEVEL_AND, _LEVEL_NOT, _LEVEL_ATOM = 1, 2, 3, 4, 5, 6

@@ -3,6 +3,7 @@ repr, immutability and ordering, one table row per type."""
 import copy
 import os
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +33,8 @@ from partialsat import (
     parse_assignment,
 )
 from partialsat.formula import StructureReport
+from gen import atom_pool, random_formula
+from oracles import ref_repr
 
 A1, A2, B1, L1 = Atom("A1"), Atom("A2"), Atom("B1"), Atom("L1")
 rA1, rA2, rB1 = AtomRef(A1), AtomRef(A2), AtomRef(B1)
@@ -128,6 +131,18 @@ class TestRecord:
 
     def test_no_instance_dict(self, cls, fields, values, other, defaults):
         assert not hasattr(cls(*values), "__dict__")
+
+
+def test_repr_matches_recursive_reference():
+    for cls, _, values, other, _ in RECORDS:
+        for rec in (cls(*values), cls(*other)):
+            assert repr(rec) == ref_repr(rec)
+    rng = random.Random(1005)
+    for _ in range(2000):
+        f = random_formula(rng, atom_pool(rng.randint(1, 8)), max_depth=rng.randint(0, 8),
+                           const_chance=0.2)
+        rec = TseitinResult(f, (B1,), ((B1, f),))
+        assert repr(f) == ref_repr(f) and repr(rec) == ref_repr(rec)
 
 
 def test_binary_connectives_differ_by_type():
