@@ -34,11 +34,14 @@ from .formula import (
 )
 from .partial_sat import _entails_with_witness, entails, validates
 from .record import Record
-from .semantics import TruthValue3, eval3, residual
+from .semantics import TruthValue3, eval3_sweep, residual
+from .semantics import eval3  # noqa: F401 (perfbench wraps it)
 from .semantics import brute_satisfiable  # noqa: F401 (perfbench wraps it)
 from . import limits
 
 _BINARY_TYPES = (And, Or, Implies, Iff)
+_VALIDATION_OUTCOME = {TruthValue3.T: "validated", TruthValue3.U: "undetermined",
+                       TruthValue3.F: "falsified"}
 
 
 class TseitinResult(Record):
@@ -209,7 +212,7 @@ def _fresh_sweep(
 
 
 def _guard_fresh_collision(mu: Assignment, fresh: tuple[Atom, ...]) -> None:
-    clash = sorted(a.name for a in mu.domain if a in set(fresh))
+    clash = sorted(a.name for a in mu.domain & set(fresh))
     if clash:
         raise ValueError(
             "assignment binds fresh atom(s): " + ", ".join(clash)
@@ -225,25 +228,17 @@ def check_validation_loss(
         raise ValueError("precondition violated: mu does not validate f")
     result = tseitin(f)
     _guard_fresh_collision(mu, result.fresh_atoms)
-    cases: list[LossCase] = []
-    recovered = False
-    for delta in _fresh_sweep(result.fresh_atoms, sweep_cap):
-        value = eval3(result.cnf, mu.union(delta))
-        if value is TruthValue3.T:
-            outcome = "validated"
-            recovered = True
-        elif value is TruthValue3.U:
-            outcome = "undetermined"
-        else:
-            outcome = "falsified"
-        cases.append(LossCase(delta=delta, outcome=outcome))
+    deltas = _fresh_sweep(result.fresh_atoms, sweep_cap)
+    values = eval3_sweep(result.cnf, list(result.fresh_atoms), mu)
+    cases = tuple(LossCase(delta=delta, outcome=_VALIDATION_OUTCOME[value])
+                  for delta, value in zip(deltas, values))
     return LossReport(
         mode="validating",
-        loss=not recovered,
+        loss=all(case.outcome != "validated" for case in cases),
         original=f,
         cnf=result.cnf,
         fresh_atoms=result.fresh_atoms,
-        cases=tuple(cases),
+        cases=cases,
     )
 
 

@@ -235,60 +235,34 @@ class Token(NamedTuple):
     column: int
 
 
-_TOKEN_SPEC = [
-    ("IFF", "<->"),
-    ("IMPLIES", "->"),
-    ("NOT", "!"),
-    ("AND", "&"),
-    ("OR", "|"),
-    ("LPAREN", "("),
-    ("RPAREN", ")"),
-    ("DOT", "."),
-    ("COMMA", ","),
-]
+# One alternative per token kind, `<->` before `->`, after any blanks.
+# Newlines and comments are matched only to be skipped, and any other
+# character is unknown; trailing blanks match nothing.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:(?P<IFF><->)|(?P<IMPLIES>->)|(?P<NOT>!)|(?P<AND>&)|(?P<OR>\|)"
+    r"|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<DOT>\.)|(?P<COMMA>,)"
+    r"|(?P<NAME>[A-Za-z][A-Za-z0-9_]*)|(?P<NEWLINE>\n)|(?P<COMMENT>#.*)|(?P<UNKNOWN>[^ \t\r\n]))"
+)
 
 
 def tokenize(text: str) -> list[Token]:
     """Split text into tokens; used by the formula, assignment, and
     quantified-formula parsers."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        matched = False
-        for kind, lexeme in _TOKEN_SPEC:
-            if text.startswith(lexeme, i):
-                tokens.append(Token(kind, lexeme, line, col))
-                i += len(lexeme)
-                col += len(lexeme)
-                matched = True
-                break
-        if matched:
-            continue
-        m = _ATOM_NAME.match(text, i)
-        if m:
-            word = m.group()
-            tokens.append(Token(_RESERVED.get(word, "NAME"), word, line, col))
-            i = m.end()
-            col += len(word)
-            continue
-        raise ParseError(f"unknown token {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
+        elif kind != "COMMENT":
+            word = m.group(kind)
+            column = m.start(kind) - line_start + 1
+            if kind == "UNKNOWN":
+                raise ParseError(f"unknown token {word!r}", line, column)
+            tokens.append(Token(_RESERVED.get(word, kind) if kind == "NAME" else kind,
+                                word, line, column))
+    last = text[line_start:].partition("#")[0]  # a comment does not advance the column
+    tokens.append(Token("EOF", "", line, len(last) + 1))
     return tokens
 
 
@@ -447,26 +421,24 @@ def _flatten(f: Formula, node_type: type) -> Iterator[Formula]:
             yield node
 
 
-def clause_literals(f: Formula) -> list[Literal] | None:
-    """The literals of a clause (any association of the Or tree), else None."""
+def _literals(f: Formula, node_type: type) -> list[Literal] | None:
     lits = []
-    for leaf in _flatten(f, Or):
+    for leaf in _flatten(f, node_type):
         lit = as_literal(leaf)
         if lit is None:
             return None
         lits.append(lit)
     return lits
+
+
+def clause_literals(f: Formula) -> list[Literal] | None:
+    """The literals of a clause (any association of the Or tree), else None."""
+    return _literals(f, Or)
 
 
 def cube_literals(f: Formula) -> list[Literal] | None:
     """The literals of a cube (any association of the And tree), else None."""
-    lits = []
-    for leaf in _flatten(f, And):
-        lit = as_literal(leaf)
-        if lit is None:
-            return None
-        lits.append(lit)
-    return lits
+    return _literals(f, And)
 
 
 def cnf_clauses(f: Formula) -> list[Formula] | None:
@@ -486,25 +458,19 @@ def classify(f: Formula) -> StructureReport:
     """Structure report for f: literal / clause / cube / CNF / tautology-free CNF.
 
     The constants count as degenerate CNF (and trivially tautology-free)
-    but are not literals, clauses, or cubes.
+    but are not literals, clauses, or cubes.  One pass over the clauses: f
+    is a clause when it is CNF with one clause (itself), and a cube when it
+    is CNF with only unit clauses.
     """
     if isinstance(f, Const):
         return StructureReport(False, False, False, True, True)
-    lit = is_literal(f)
-    clauses = cnf_clauses(f)
-    is_cnf = clauses is not None
-    taut_free = is_cnf
-    if is_cnf:
-        for c in clauses:
-            lits = clause_literals(c)
-            seen = {(l.atom, l.positive) for l in lits}
-            if any((a, not pos) in seen for a, pos in seen):
-                taut_free = False
-                break
-    return StructureReport(
-        is_literal=lit,
-        is_clause=clause_literals(f) is not None,
-        is_cube=cube_literals(f) is not None,
-        is_cnf=is_cnf,
-        is_tautology_free_cnf=taut_free,
-    )
+    clauses = []
+    for clause in _flatten(f, And):
+        lits = clause_literals(clause)
+        if lits is None:
+            return StructureReport(False, False, False, False, False)
+        clauses.append(lits)
+    signed = ({(lit.atom.name, lit.positive) for lit in lits} for lits in clauses)
+    taut_free = not any((a, not pos) in seen for seen in signed for a, pos in seen)
+    units = all(len(lits) == 1 for lits in clauses)
+    return StructureReport(is_literal(f), len(clauses) == 1, units, True, taut_free)

@@ -24,7 +24,7 @@ from .formula import (
     tokenize,
     TokenStream,
 )
-from .partial_sat import validates
+from .partial_sat import validates  # noqa: F401 (perfbench wraps it)
 from .record import Record
 from .semantics import first_block, residual, sat_total  # noqa: F401 (perfbench wraps it)
 from . import limits
@@ -149,10 +149,8 @@ def exists_validates(
     delta over the bound atoms makes mu ∪ delta validate the matrix."""
     _guard_bound_domain(mu, ef)
     _check_quantified_cap(len(ef.quantified), expansion_cap)
-    for delta in total_assignments(sorted(ef.quantified)):
-        if validates(mu.union(delta), ef.matrix):
-            return True, delta
-    return False, None
+    eta = first_block(ef.matrix, sorted(ef.quantified), [], mu, some=True)
+    return (False, None) if eta is None else (True, eta.restrict(ef.quantified))
 
 
 def exists_entails(

@@ -1,17 +1,23 @@
 """Residuals, three-valued evaluation, total-assignment satisfaction, and
-brute-force validity/equivalence oracles, which evaluate a formula on every
-row of a sweep at once as a truth table: one Python int, a bit per row.
+brute-force validity/equivalence oracles.
 
-One walker evaluates under a partial assignment: residual substitutes bound
-atoms and propagates constants through the connectives, nothing more (no
-simplification of e.g. A | A, which would silently change validation
+One walker evaluates under one partial assignment: residual substitutes
+bound atoms and propagates constants through the connectives, nothing more
+(no simplification of e.g. A | A, which would silently change validation
 outcomes).  eval3, which treats unbound atoms as unknown (U), is its
 projection: T iff the residual is `true`, F iff it is `false`.
+
+One kernel evaluates a formula on every row of a sweep at once, for both
+notions: an interval table, one Python int with the rows where it is
+surely true in its low half and those where it is possibly true in its
+high half.  Atoms neither swept nor fixed are unknown; with none, the
+halves coincide in a two-valued table, a bit per row.
 """
 from __future__ import annotations
 
 import enum
 import functools
+from typing import Iterator
 
 from .assignment import EMPTY_ASSIGNMENT, Assignment, total_assignments
 from .errors import ResourceLimitError
@@ -153,17 +159,30 @@ _BINARY_OPCODE = {And: _AND, Or: _OR, Implies: _IMPLIES, Iff: _IFF}
 
 
 def _table(f: Formula, leaf: dict[str, int], full: int) -> int:
-    """Truth table of f from its atoms' tables, keyed by name (an Atom's
-    hash runs Python code per lookup).  Iterative, so depth is not
-    bounded by the recursion limit; a right operand is skipped when the
-    left one decides the node (0 under & and ->, full under |)."""
+    """Interval table of f from its atoms' tables, keyed by name (an Atom's
+    hash runs Python code per lookup): the rows where f is surely true in
+    the low half, those where it is possibly true in the high half.  While
+    every atom met is in `leaf` the half-width is 0 and this is the
+    two-valued table; the first atom missing from it widens the tables so
+    far and is unknown (low half 0, high half full).  Iterative, so depth
+    is not bounded by the recursion limit; a right operand is skipped when
+    the left one decides the node (0 under & and ->, full under |)."""
     values: list[int] = []
     todo: list = [f]
+    half = 0  # the half-width
     while todo:
         node = todo.pop()
         kind = type(node)
         if kind is AtomRef:
-            values.append(leaf[node.atom.name])
+            try:
+                values.append(leaf[node.atom.name])
+            except KeyError:  # neither swept nor fixed: unknown
+                if not half:
+                    half = full.bit_length()
+                    leaf = {k: v | v << half for k, v in leaf.items()}
+                    values = [v | v << half for v in values]
+                    full |= full << half
+                values.append(leaf.setdefault(node.atom.name, full >> half << half))
         elif kind is tuple:  # (opcode, right operand), left value on top
             op, a = node[0], values[-1]
             if op == _OR and a == full or op in (_AND, _IMPLIES) and a == 0:
@@ -171,16 +190,18 @@ def _table(f: Formula, leaf: dict[str, int], full: int) -> int:
             else:
                 todo += node
         elif kind is int:  # an opcode, its operands on top of values
-            b = full if node == _NOT else values.pop()
+            b = 0 if node == _NOT else values.pop()
             a = values[-1]
             if node == _AND:
                 values[-1] = a & b
             elif node == _OR:
                 values[-1] = a | b
-            elif node == _IMPLIES:
-                values[-1] = (a ^ full) | b
-            else:  # _NOT is a ^ full, _IFF is a ^ b ^ full
-                values[-1] = a ^ b ^ (full if node == _IFF else 0)
+            else:  # !a swaps the halves of a ^ full; a -> b is !a | b
+                na, nb = a ^ full, b ^ full
+                if half:
+                    na = (na >> half | na << half) & full
+                    nb = (nb >> half | nb << half) & full
+                values[-1] = (na | b) & (nb | a) if node == _IFF else na | b
         elif kind is Not:
             todo += (_NOT, node.arg)
         elif kind is Const:
@@ -192,6 +213,20 @@ def _table(f: Formula, leaf: dict[str, int], full: int) -> int:
     return values[0]
 
 
+def _sweep(f: Formula, avs: list[Atom], fixed: Assignment, b: int = 0) -> Iterator:
+    """(prefix, chunk, table) for every total prefix over all but the last
+    max(b, _CHUNK_ATOMS) atoms of avs, the chunk: lexicographic, true
+    first, with the interval table of f under `fixed` over the chunk."""
+    split = max(0, len(avs) - max(b, _CHUNK_ATOMS))
+    chunk = avs[split:]
+    full = (1 << (1 << len(chunk))) - 1
+    leaf = {a.name: mask for a, mask in zip(chunk, _row_masks(len(chunk)))}
+    for prefix in total_assignments(avs[:split]) if split else (EMPTY_ASSIGNMENT,):
+        for a, v in (*fixed._bindings.items(), *prefix._bindings.items()):
+            leaf[a.name] = full if v else 0
+        yield prefix, chunk, _table(f, leaf, full)
+
+
 def first_block(
     f: Formula,
     leading: list[Atom],
@@ -201,31 +236,36 @@ def first_block(
 ) -> Assignment | None:
     """The first total eta over `leading`, lexicographic and true first,
     under which some (by default no) total assignment over `trailing`
-    satisfies f with `fixed`, united with `fixed` (which binds none of
-    them).  Each eta owns a block of 2^len(trailing) rows of a table over
-    the last max(len(trailing), _CHUNK_ATOMS) atoms."""
-    avs = [*leading, *trailing]
+    validates f with `fixed`, united with `fixed` (which binds none of
+    them).  Atoms of f that none of them binds are unknown, so a row counts
+    when f is surely true on it (with none, when it satisfies f).  Each eta
+    owns a block of 2^len(trailing) rows of a table over the last
+    max(len(trailing), _CHUNK_ATOMS) atoms."""
     b = len(trailing)
-    split = max(0, len(avs) - max(b, _CHUNK_ATOMS))
-    low = avs[split:]
-    full = (1 << (1 << len(low))) - 1
-    starts = _tile(1, 1 << b, 1 << len(low))
-    leaf = {a.name: mask for a, mask in zip(low, _row_masks(len(low)))}
-    for prefix in total_assignments(avs[:split]) if split else (EMPTY_ASSIGNMENT,):
-        for a, v in (*fixed._bindings.items(), *prefix._bindings.items()):
-            leaf[a.name] = full if v else 0
-        t = _table(f, leaf, full)
+    for prefix, chunk, t in _sweep(f, [*leading, *trailing], fixed, b):
         shift = 1
         while shift < 1 << b:  # OR each block onto its first row
             t |= t >> shift
             shift <<= 1
-        hits = starts & (t if some else ~t)
+        # a block's first row takes bits of its own block only: the surely-true half
+        hits = _tile(1, 1 << b, 1 << len(chunk)) & (t if some else ~t)
         if hits:
             r = ((hits & -hits).bit_length() - 1) >> b
-            n = len(low) - b
-            rest = {a: not (r >> (n - 1 - i)) & 1 for i, a in enumerate(low[:n])}
+            n = len(chunk) - b
+            rest = {a: not (r >> (n - 1 - i)) & 1 for i, a in enumerate(chunk[:n])}
             return Assignment({**fixed._bindings, **prefix._bindings, **rest})
     return None
+
+
+def eval3_sweep(f: Formula, avs: list[Atom], fixed: Assignment) -> Iterator[TruthValue3]:
+    """eval3(f, fixed ∪ eta) for every total eta over avs, lexicographic and
+    true first, read off one interval table per chunk: T where the low bit
+    is set, F where the high bit is clear, U elsewhere."""
+    for _, chunk, t in _sweep(f, avs, fixed):
+        rows = 1 << len(chunk)
+        bits = f"{t:0{2 * rows}b}"[::-1]  # bit r of t is bits[r]
+        for r in range(rows):
+            yield _T if bits[r] == "1" else _U if bits[rows + r] == "1" else _F
 
 
 def sat_total(f: Formula, eta: Assignment) -> bool:

@@ -1,8 +1,10 @@
-"""Recursive reference implementations of the package's formula walkers.
+"""Reference implementations of the package's formula walkers and sweeps.
 
-Each recurses once per nesting level, as the walkers they stand for once
-did; the tests compare the iterative walkers with them on seeded corpora
-shallow enough for the interpreter stack."""
+The walkers recurse once per nesting level, as the ones they stand for
+once did; the tests compare the iterative walkers with them on seeded
+corpora shallow enough for the interpreter stack.  The validation sweeps
+call `validates` or `eval3` once per delta, as the lifted checks did
+before they read a single interval table."""
 from __future__ import annotations
 
 from partialsat import (
@@ -14,20 +16,28 @@ from partialsat import (
     FALSE,
     Iff,
     Implies,
+    LossCase,
+    LossReport,
     Not,
     Or,
     ParseError,
     TRUE,
+    TruthValue3,
     TseitinResult,
     and_all,
     atoms,
     classify,
+    clause_literals,
+    eval3,
     is_literal,
     residual,
+    tseitin,
+    validates,
 )
+from partialsat.assignment import total_assignments
 from partialsat.cnfize import _definition_clauses
 from partialsat.enumeration import _Budget
-from partialsat.formula import TokenStream, cnf_clauses, tokenize
+from partialsat.formula import StructureReport, TokenStream, cnf_clauses, cube_literals, tokenize
 from partialsat.record import Record
 from partialsat import limits
 
@@ -248,3 +258,51 @@ def ref_tableaux(f, branch_budget=None):
 
     expand([_desugar(f)], {})
     return tuple(collected)
+
+
+# ------------------------------------------------------------- structure
+
+def ref_classify(f):
+    """`classify` as it was: the clauses' literals taken once for CNF-ness,
+    again for the tautology check, and f walked twice more."""
+    if isinstance(f, Const):
+        return StructureReport(False, False, False, True, True)
+    clauses = cnf_clauses(f)
+    is_cnf = clauses is not None
+    taut_free = is_cnf
+    if is_cnf:
+        for c in clauses:
+            seen = {(l.atom, l.positive) for l in clause_literals(c)}
+            if any((a, not pos) in seen for a, pos in seen):
+                taut_free = False
+                break
+    return StructureReport(
+        is_literal=is_literal(f),
+        is_clause=clause_literals(f) is not None,
+        is_cube=cube_literals(f) is not None,
+        is_cnf=is_cnf,
+        is_tautology_free_cnf=taut_free,
+    )
+
+
+# ------------------------------------------------------ validation sweeps
+
+def ref_exists_validates(mu, ef):
+    """One `validates` per total delta over the bound atoms, in order."""
+    for delta in total_assignments(sorted(ef.quantified)):
+        if validates(mu.union(delta), ef.matrix):
+            return True, delta
+    return False, None
+
+
+_OUTCOME = {TruthValue3.T: "validated", TruthValue3.U: "undetermined",
+            TruthValue3.F: "falsified"}
+
+
+def ref_check_validation_loss(mu, f):
+    """One `eval3` of the CNF per total delta over the fresh atoms."""
+    result = tseitin(f)
+    cases = tuple(LossCase(delta, _OUTCOME[eval3(result.cnf, mu.union(delta))])
+                  for delta in total_assignments(result.fresh_atoms))
+    return LossReport("validating", all(c.outcome != "validated" for c in cases), f,
+                      result.cnf, result.fresh_atoms, cases)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from partialsat import semantics
 from partialsat import (
     Assignment,
     Atom,
@@ -27,7 +28,7 @@ from partialsat import (
     validates,
 )
 from gen import atom_pool, random_formula, random_partial_assignment, size
-from oracles import ref_tseitin
+from oracles import ref_check_validation_loss, ref_tseitin
 
 
 class TestTseitinGoldens:
@@ -221,6 +222,28 @@ class TestValidationLoss:
             check_validation_loss(
                 parse_assignment("A1, A2"), parse("(A1 & A2) | (A3 & A4)")
             )
+
+    def test_reports_match_the_per_delta_loop(self, monkeypatch):
+        rng = random.Random(4401)
+        pool = atom_pool(5)
+        checked, outcomes, losses, widest = 0, set(), set(), 0
+        while checked < 600:
+            f = random_formula(rng, pool, max_depth=rng.randint(2, 4), const_chance=0.1)
+            mu = random_partial_assignment(rng, pool, bind_chance=0.6)
+            if not validates(mu, f):
+                continue
+            expected = ref_check_validation_loss(mu, f)
+            # 3-atom chunks put the leading fresh atoms in the outer loop
+            for chunk in (semantics._CHUNK_ATOMS, 3):
+                monkeypatch.setattr(semantics, "_CHUNK_ATOMS", chunk)
+                assert check_validation_loss(mu, f) == expected
+            monkeypatch.undo()
+            outcomes |= {case.outcome for case in expected.cases}
+            losses.add(expected.loss)
+            widest = max(widest, len(expected.fresh_atoms))
+            checked += 1
+        assert outcomes == {"validated", "undetermined", "falsified"}
+        assert losses == {True, False} and widest > 3
 
 
 class TestEntailmentLoss:

@@ -25,7 +25,7 @@ from partialsat import (
 )
 from partialsat.formula import tokenize
 from gen import atom_pool, random_formula
-from oracles import ref_parse
+from oracles import ref_classify, ref_parse
 
 A1, A2, A3 = Atom("A1"), Atom("A2"), Atom("A3")
 rA1, rA2, rA3 = AtomRef(A1), AtomRef(A2), AtomRef(A3)
@@ -386,3 +386,33 @@ class TestClassify:
         for _ in range(200):
             f = random_formula(rng, pool, max_depth=5)
             assert classify(parse(str(f))) == classify(f)
+
+    def test_one_pass_matches_the_old_classify(self):
+        rng = random.Random(1003)
+        pool = atom_pool(4)
+        seen = set()
+
+        def leaf():
+            f = AtomRef(rng.choice(pool))
+            return Not(f) if rng.random() < 0.5 else f
+
+        for _ in range(2000):
+            # nested And/Or trees of literals, with an odd subformula now and then
+            parts = []
+            for _ in range(rng.randint(1, 4)):
+                lits = [leaf() if rng.random() < 0.9 else random_formula(rng, pool, 2, 0.2)
+                        for _ in range(rng.choice((1, 1, 2, 3)))]
+                clause = lits[0]
+                for lit in lits[1:]:
+                    clause = Or(clause, lit) if rng.random() < 0.5 else Or(lit, clause)
+                parts.append(clause)
+            f = parts[0]
+            for part in parts[1:]:
+                f = And(f, part) if rng.random() < 0.5 else And(part, f)
+            if rng.random() < 0.1:
+                f = random_formula(rng, pool, rng.randint(0, 3), 0.2)
+            report = classify(f)
+            assert report == ref_classify(f)
+            seen.add(report._fields())
+        assert all(any(fields[i] for fields in seen) and not all(fields[i] for fields in seen)
+                   for i in range(5))

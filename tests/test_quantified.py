@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from partialsat import semantics
+from partialsat import cnfize, quantified, semantics
 from partialsat import (
     Assignment,
     Atom,
@@ -15,6 +15,7 @@ from partialsat import (
     TRUE,
     atoms,
     brute_satisfiable,
+    check_validation_loss,
     entails,
     exists_entails,
     exists_validates,
@@ -26,6 +27,7 @@ from partialsat import (
     validates,
 )
 from gen import atom_pool, random_formula, random_partial_assignment
+from oracles import ref_exists_validates
 from test_semantics import ref_eval, ref_rows
 
 CNF_OF_GAP = (
@@ -262,3 +264,43 @@ class TestExistsEntailsAgainstDoubleSweep:
             exists_entails(EMPTY_ASSIGNMENT, ef, expansion_cap=1)
         with pytest.raises(AssertionError, match="table built"):
             exists_entails(EMPTY_ASSIGNMENT, ef, atom_cap=3, expansion_cap=2)
+        with pytest.raises(ResourceLimitError, match="2 quantified atoms"):
+            exists_validates(EMPTY_ASSIGNMENT, ef, expansion_cap=1)
+
+
+class TestExistsValidatesAgainstPerDeltaLoop:
+    def test_verdicts_and_witnesses_match(self, monkeypatch):
+        rng = random.Random(6201)
+        found, empty_bound, wide_bound = 0, 0, 0
+        for _ in range(600):
+            free = atom_pool(rng.randint(1, 5))
+            bound = atom_pool(rng.choice((0, 1, 2, 3, 5)), prefix="B")
+            # mu may bind atoms outside the matrix; B atoms may be vacuous
+            ef = ExistentialFormula(
+                matrix=random_formula(rng, free + bound, max_depth=4, const_chance=0.1),
+                quantified=frozenset(bound),
+            )
+            mu = random_partial_assignment(rng, free, bind_chance=0.5)
+            expected = ref_exists_validates(mu, ef)
+            found += expected[0]
+            empty_bound += not bound
+            wide_bound += len(bound) > 3
+            # 3-atom chunks put the leading bound atoms in the outer loop
+            for chunk in (semantics._CHUNK_ATOMS, 3):
+                monkeypatch.setattr(semantics, "_CHUNK_ATOMS", chunk)
+                assert exists_validates(mu, ef) == expected
+            monkeypatch.undo()
+        assert 100 < found < 500 and empty_bound > 50 and wide_bound > 50
+
+    def test_no_per_delta_validation_is_left(self, monkeypatch):
+        def per_delta(*args):
+            raise AssertionError("per-delta three-valued evaluation")
+
+        monkeypatch.setattr(quantified, "validates", per_delta)
+        monkeypatch.setattr(cnfize, "eval3", per_delta)
+        assert exists_validates(parse_assignment("A1, A2"), GAP_EXISTENTIAL) == (
+            True, parse_assignment("B1, !B2"))
+        f = parse("A1 | (A2 & A3)")
+        outcomes = {mu: [case.outcome for case in check_validation_loss(parse_assignment(mu), f).cases]
+                    for mu in ("A1", "A1, A2, A3")}
+        assert outcomes == {"A1": ["undetermined"] * 2, "A1, A2, A3": ["validated", "falsified"]}

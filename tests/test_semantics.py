@@ -541,3 +541,38 @@ class TestKernelAgainstRowSweep:
         assert brute_satisfiable(spine[Or]) and not brute_valid(spine[And])
         assert sat_total(spine[Or], all_true) and not sat_total(spine[Or], all_false)
         assert brute_equivalent(spine[Or], or_all(AtomRef(a) for a in pool))
+
+
+class TestIntervalKernelAgainstValidates:
+    def test_rows_and_blocks_match_per_row_validation(self, monkeypatch):
+        """2,000 (f, mu, swept set) cases: every row's value from the
+        interval table equals `validates`/`kleene` on mu ∪ eta, and
+        `first_block` finds the first block that does (not) validate."""
+        rng = random.Random(7301)
+        outcomes, widened = {T: 0, U: 0, F: 0}, 0
+        for _ in range(2000):
+            pool = atom_pool(rng.randint(1, 8))
+            f = random_formula(rng, pool, max_depth=rng.randint(1, 5), const_chance=0.2)
+            swept = sorted(rng.sample(pool, rng.randint(0, min(6, len(pool)))))
+            mu = random_partial_assignment(rng, [a for a in pool if a not in swept])
+            etas = list(extensions(EMPTY_ASSIGNMENT, swept))
+            values = [kleene(f, mu.union(eta)) for eta in etas]
+            assert [v is T for v in values] == [validates(mu.union(eta), f) for eta in etas]
+            k = rng.randint(0, len(swept))
+            width = 1 << (len(swept) - k)
+            blocks = [values[i:i + width] for i in range(0, len(values), width)]
+            some = next((etas[i * width].restrict(swept[:k]) for i, block in enumerate(blocks)
+                         if T in block), None)
+            none = next((etas[i * width].restrict(swept[:k]) for i, block in enumerate(blocks)
+                         if T not in block), None)
+            for chunk in (semantics._CHUNK_ATOMS, 3):
+                monkeypatch.setattr(semantics, "_CHUNK_ATOMS", chunk)
+                assert list(semantics.eval3_sweep(f, swept, mu)) == values
+                for want, some_flag in ((some, True), (none, False)):
+                    got = semantics.first_block(f, swept[:k], swept[k:], mu, some_flag)
+                    assert got == (None if want is None else mu.union(want))
+            monkeypatch.undo()
+            for v in values:
+                outcomes[v] += 1
+            widened += U in values
+        assert min(outcomes.values()) > 1000 and widened > 300
