@@ -24,10 +24,10 @@ from .formula import (
     Not,
     Or,
     TRUE,
+    _cnf_literals,
     and_all,
     atoms,
     classify,
-    clause_literals,
     cnf_clauses,
     fold,
     is_literal,
@@ -184,13 +184,11 @@ def strip_tautologies(f: Formula) -> Formula:
     input collapses to true."""
     if isinstance(f, Const):
         return f
-    clauses = cnf_clauses(f)
-    if clauses is None:
+    pairs = _cnf_literals(f)
+    if pairs is None:
         raise ValueError("formula is not in CNF")
     kept: list[Formula] = []
-    for clause in clauses:
-        lits = clause_literals(clause)
-        assert lits is not None
+    for clause, lits in pairs:
         signed = {(lit.atom, lit.positive) for lit in lits}
         if any((atom, not pos) in signed for atom, pos in signed):
             continue
@@ -292,14 +290,12 @@ def to_dimacs(f: Formula) -> str:
         return "p cnf 0 0\n"
     if f == FALSE:
         return "p cnf 0 1\n0\n"
-    clauses = cnf_clauses(f)
-    if clauses is None:
+    pairs = _cnf_literals(f)
+    if pairs is None:
         raise ValueError("formula is not in CNF")
     numbering: dict[Atom, int] = {}
     rows: list[list[int]] = []
-    for clause in clauses:
-        lits = clause_literals(clause)
-        assert lits is not None
+    for _, lits in pairs:
         row = []
         for lit in lits:
             if lit.atom not in numbering:

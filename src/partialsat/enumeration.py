@@ -3,7 +3,9 @@
 OBDD path enumeration yields partial assignments that *entail* the input;
 analytic tableaux and non-CNF DPLL yield assignments that *validate* it.
 Every entailing cube is a subset of some validating cube, so the OBDD
-listing is never longer than the DPLL one.
+listing is never longer than the DPLL one.  The engines, the OBDD build
+and the diagram walks all run on explicit stacks, so neither formula depth
+nor the number of diagram levels is bounded by the recursion limit.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from .formula import (
     or_all,
 )
 from .record import Record
-from .semantics import brute_equivalent, residual
+from .semantics import _FOLD, _KEEP, _NEGATE, brute_equivalent, residual
 from . import limits
 
 
@@ -80,7 +82,8 @@ class Obdd:
 
     Node ids 0 and 1 are the false/true terminals; internal nodes are
     (level, low, high) triples where level indexes into the atom order.
-    Immutable once built.
+    Immutable once built; every walk over it is iterative, so the number
+    of levels is not bounded by the recursion limit.
     """
 
     __slots__ = ("order", "root", "_nodes", "_unique")
@@ -113,41 +116,44 @@ class Obdd:
     def node(self, node_id: int) -> tuple[int, int, int]:
         return self._nodes[node_id]
 
-    def is_terminal(self, node_id: int) -> bool:
-        return node_id < 2
+    def atom_at(self, node_id: int) -> Atom:
+        return self.order[self._nodes[node_id][0]]
+
+    def fold(self, step, false, true):
+        """Post-order fold of the nodes reachable from the root, each once,
+        a low child's subgraph before the high child's: `false` and `true`
+        stand for the terminals and `step(atom, low, high)` combines a
+        node's children's results."""
+        done = {0: false, 1: true}
+        todo = [self.root]
+        while todo:
+            node_id = todo.pop()
+            if node_id in done:
+                continue
+            level, low, high = self._nodes[node_id]
+            if low in done and high in done:
+                done[node_id] = step(self.order[level], done[low], done[high])
+            else:
+                todo += (node_id, high, low)
+        return done[self.root]
+
+    def signature(self) -> tuple:
+        """Order-and-structure fingerprint, equal for equivalent formulas
+        built under the same atom order: `(root ref, *rows)` with one
+        `(atom name, low ref, high ref)` row per reachable node in `fold`
+        order; refs 0 and 1 are the terminals, ref k + 1 the k-th row."""
+        rows: list[tuple[str, int, int]] = []
+
+        def row(atom: Atom, low: int, high: int) -> int:
+            rows.append((atom.name, low, high))
+            return len(rows) + 1
+
+        return (self.fold(row, 0, 1), *rows)
 
     @property
     def internal_node_count(self) -> int:
         """Internal nodes reachable from the root (the OBDD's size)."""
-        seen = set()
-        stack = [self.root]
-        while stack:
-            node_id = stack.pop()
-            if node_id < 2 or node_id in seen:
-                continue
-            seen.add(node_id)
-            _, low, high = self._nodes[node_id]
-            stack.append(low)
-            stack.append(high)
-        return len(seen)
-
-    def atom_at(self, node_id: int) -> Atom:
-        return self.order[self._nodes[node_id][0]]
-
-    def signature(self):
-        """Order-and-structure fingerprint: equal for equivalent formulas
-        built under the same atom order."""
-        memo: dict[int, object] = {0: "F", 1: "T"}
-
-        def walk(node_id: int):
-            if node_id in memo:
-                return memo[node_id]
-            level, low, high = self._nodes[node_id]
-            sig = (self.order[level].name, walk(low), walk(high))
-            memo[node_id] = sig
-            return sig
-
-        return walk(self.root)
+        return len(self.signature()) - 1
 
 
 def build_obdd(
@@ -171,76 +177,58 @@ def build_obdd(
             raise ValueError("atom order contains duplicates")
     budget = limits.node_budget(node_budget)
     bdd = Obdd(order)
+    nodes, mk = bdd._nodes, bdd._mk
     level_of = {atom: i for i, atom in enumerate(order)}
-    not_memo: dict[int, int] = {}
-    apply_memo: dict[tuple[type, int, int], int] = {}
+    memo: dict[tuple, int] = {}
 
-    def negate(u: int) -> int:
-        if u < 2:
-            return 1 - u
-        cached = not_memo.get(u)
-        if cached is not None:
-            return cached
-        level, low, high = bdd.node(u)
-        result = bdd._mk(level, negate(low), negate(high), budget)
-        not_memo[u] = result
-        return result
-
-    def apply(op: type, u: int, v: int) -> int:
-        if op is And:
-            if u == 0 or v == 0:
-                return 0
-            if u == 1:
-                return v
-            if v == 1:
-                return u
-        elif op is Or:
-            if u == 1 or v == 1:
-                return 1
-            if u == 0:
-                return v
-            if v == 0:
-                return u
-        elif op is Implies:
-            if u == 0 or v == 1:
-                return 1
-            if u == 1:
-                return v
-            if v == 0:
-                return negate(u)
-        else:
-            if u == 1:
-                return v
-            if u == 0:
-                return negate(v)
-            if v == 1:
-                return u
-            if v == 0:
-                return negate(u)
-        key = (op, u, v)
-        cached = apply_memo.get(key)
-        if cached is not None:
-            return cached
-        lu, lowu, highu = bdd.node(u)
-        lv, lowv, highv = bdd.node(v)
-        level = min(lu, lv)
-        u_low, u_high = (lowu, highu) if lu == level else (u, u)
-        v_low, v_high = (lowv, highv) if lv == level else (v, v)
-        result = bdd._mk(
-            level, apply(op, u_low, v_low), apply(op, u_high, v_high), budget
-        )
-        apply_memo[key] = result
-        return result
+    def apply(kind: type, u: int, v: int | None = None) -> int:
+        """Bryant's apply with a computed table, on an explicit stack.  A
+        `Not` job has no second operand; a terminal operand folds the job
+        by `_FOLD`, as a constant folds a residual.  A memoised job is
+        finished by its `(job, level)` frame once its low and then its
+        high half are in, so nodes are made children first."""
+        values: list[int] = []
+        todo: list = [(kind, u, v)]
+        while todo:
+            job = todo.pop()
+            if len(job) == 2:  # (job, level): both halves are on top
+                high = values.pop()
+                values[-1] = memo[job[0]] = mk(job[1], values[-1], high, budget)
+                continue
+            kind, u, v = job
+            if v is None:
+                if u < 2:
+                    values.append(1 - u)
+                    continue
+            elif u < 2 or v < 2:
+                rule, other = (_FOLD[kind][u == 0], v) if u < 2 else (_FOLD[kind][2 + (v == 0)], u)
+                if rule is _NEGATE:
+                    todo.append((Not, other, None))
+                else:
+                    values.append(other if rule is _KEEP else int(rule.value))
+                continue
+            cached = memo.get(job)
+            if cached is not None:
+                values.append(cached)
+                continue
+            level, low_u, high_u = nodes[u]
+            if v is None:
+                todo += ((job, level), (Not, high_u, None), (Not, low_u, None))
+                continue
+            level_v, low_v, high_v = nodes[v]
+            if level_v < level:
+                level, low_u, high_u = level_v, u, u
+            elif level < level_v:
+                low_v = high_v = v
+            todo += ((job, level), (kind, high_u, high_v), (kind, low_u, low_v))
+        return values[0]
 
     def leaf(node: Formula) -> int:
         if isinstance(node, Const):
             return 1 if node.value else 0
-        return bdd._mk(level_of[node.atom], 0, 1, budget)
+        return mk(level_of[node.atom], 0, 1, budget)
 
-    def combine(node: Formula, u: int, v: int | None = None) -> int:
-        return negate(u) if v is None else apply(type(node), u, v)
-
-    bdd.root = fold(f, combine, leaf)
+    bdd.root = fold(f, lambda node, u, v=None: apply(type(node), u, v), leaf)
     return bdd
 
 
@@ -248,19 +236,17 @@ def obdd_enumerate(bdd: Obdd, f: Formula | None = None) -> EnumResult:
     """One partial assignment per root-to-true path, true branch first;
     each entails the formula the OBDD was built from."""
     collected: list[Assignment] = []
-
-    def walk(node_id: int, bound: dict[Atom, bool]) -> None:
-        if node_id == 1:
-            collected.append(Assignment(bound))
-            return
-        if node_id == 0:
-            return
+    # open paths as (node, bindings so far), the high branch on top
+    paths: list = [(bdd.root, {})]
+    while paths:
+        node_id, bound = paths.pop()
+        if node_id < 2:
+            if node_id:
+                collected.append(Assignment(bound))
+            continue
         level, low, high = bdd.node(node_id)
         atom = bdd.order[level]
-        walk(high, {**bound, atom: True})
-        walk(low, {**bound, atom: False})
-
-    walk(bdd.root, {})
+        paths += ((low, {**bound, atom: False}), (high, {**bound, atom: True}))
     source = f if f is not None else obdd_to_formula(bdd)
     return EnumResult(
         engine="obdd",
@@ -272,18 +258,8 @@ def obdd_enumerate(bdd: Obdd, f: Formula | None = None) -> EnumResult:
 
 def obdd_to_formula(bdd: Obdd) -> Formula:
     """Read the OBDD back as a formula (if-then-else chain per node)."""
-    memo: dict[int, Formula] = {0: FALSE, 1: TRUE}
-
-    def walk(node_id: int) -> Formula:
-        if node_id in memo:
-            return memo[node_id]
-        level, low, high = bdd.node(node_id)
-        ref = AtomRef(bdd.order[level])
-        result = Or(And(ref, walk(high)), And(Not(ref), walk(low)))
-        memo[node_id] = result
-        return result
-
-    return walk(bdd.root)
+    return bdd.fold(lambda atom, low, high: Or(And(AtomRef(atom), high),
+                                               And(Not(AtomRef(atom)), low)), FALSE, TRUE)
 
 
 def _desugar(node: Formula, a: Formula, b: Formula | None = None) -> Formula:

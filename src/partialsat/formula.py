@@ -441,17 +441,25 @@ def cube_literals(f: Formula) -> list[Literal] | None:
     return _literals(f, And)
 
 
+def _cnf_literals(f: Formula) -> list[tuple[Formula, list[Literal]]] | None:
+    """Each clause of a CNF formula (any association) with its literals,
+    else None."""
+    pairs = []
+    for clause in _flatten(f, And):
+        lits = clause_literals(clause)
+        if lits is None:
+            return None
+        pairs.append((clause, lits))
+    return pairs
+
+
 def cnf_clauses(f: Formula) -> list[Formula] | None:
     """The clauses of a CNF formula (any association), else None.
 
     The constants are not handled here; callers treat them separately.
     """
-    clauses = []
-    for leaf in _flatten(f, And):
-        if clause_literals(leaf) is None:
-            return None
-        clauses.append(leaf)
-    return clauses
+    pairs = _cnf_literals(f)
+    return None if pairs is None else [clause for clause, _ in pairs]
 
 
 def classify(f: Formula) -> StructureReport:
@@ -464,13 +472,10 @@ def classify(f: Formula) -> StructureReport:
     """
     if isinstance(f, Const):
         return StructureReport(False, False, False, True, True)
-    clauses = []
-    for clause in _flatten(f, And):
-        lits = clause_literals(clause)
-        if lits is None:
-            return StructureReport(False, False, False, False, False)
-        clauses.append(lits)
-    signed = ({(lit.atom.name, lit.positive) for lit in lits} for lits in clauses)
+    pairs = _cnf_literals(f)
+    if pairs is None:
+        return StructureReport(False, False, False, False, False)
+    signed = ({(lit.atom.name, lit.positive) for lit in lits} for _, lits in pairs)
     taut_free = not any((a, not pos) in seen for seen in signed for a, pos in seen)
-    units = all(len(lits) == 1 for lits in clauses)
-    return StructureReport(is_literal(f), len(clauses) == 1, units, True, taut_free)
+    units = all(len(lits) == 1 for _, lits in pairs)
+    return StructureReport(is_literal(f), len(pairs) == 1, units, True, taut_free)

@@ -123,33 +123,23 @@ def enumerate_abstraction(
         return exists_entails(mu, ef, atom_cap, expansion_cap)[0]
 
     collected: list[Assignment] = []
+    cubes = [Assignment({})]  # open cubes, the true branch on top
+    while cubes:
+        mu = cubes.pop()
+        if not satisfiable_with(mu):
+            continue
+        if leaf_test(mu):
+            collected.append(mu)
+            continue
+        free = [label for label in labels if label not in mu]
+        forced = next(((label, not value) for label in free for value in (True, False)
+                       if not satisfiable_with(mu.bind(label, value))), None)
+        if forced is not None:
+            cubes.append(mu.bind(*forced))
+            continue
+        assert free, "a total open cube must pass its leaf test"
+        cubes += (mu.bind(free[0], False), mu.bind(free[0], True))
 
-    def rec(mu: Assignment) -> None:
-        while True:
-            if not satisfiable_with(mu):
-                return
-            if leaf_test(mu):
-                collected.append(mu)
-                return
-            forced = None
-            for label in labels:
-                if label in mu:
-                    continue
-                for value in (True, False):
-                    if not satisfiable_with(mu.bind(label, value)):
-                        forced = (label, not value)
-                        break
-                if forced:
-                    break
-            if forced is None:
-                break
-            mu = mu.bind(*forced)
-        unassigned = [label for label in labels if label not in mu]
-        assert unassigned, "a total open cube must pass its leaf test"
-        rec(mu.bind(unassigned[0], True))
-        rec(mu.bind(unassigned[0], False))
-
-    rec(Assignment({}))
     return EnumResult(
         engine="dpll",
         mode=mode,

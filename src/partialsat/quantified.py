@@ -15,10 +15,9 @@ from .formula import (
     Atom,
     FALSE,
     Formula,
+    _cnf_literals,
     and_all,
     atoms,
-    clause_literals,
-    cnf_clauses,
     or_all,
     parse_formula_body,
     tokenize,
@@ -93,16 +92,12 @@ def _guard_bound_domain(mu: Assignment, ef: ExistentialFormula) -> None:
 def _tidy_disjunct(d: Formula) -> Formula:
     """Drop clauses subsumed by (or duplicating) another clause of a CNF
     disjunct; non-CNF disjuncts are left alone."""
-    clauses = cnf_clauses(d)
-    if clauses is None or len(clauses) < 2:
+    pairs = _cnf_literals(d)
+    if pairs is None or len(pairs) < 2:
         return d
-    literal_sets = []
-    for clause in clauses:
-        lits = clause_literals(clause)
-        assert lits is not None
-        literal_sets.append(frozenset(lits))
+    literal_sets = [frozenset(lits) for _, lits in pairs]
     kept = []
-    for i, (clause, lits) in enumerate(zip(clauses, literal_sets)):
+    for i, ((clause, _), lits) in enumerate(zip(pairs, literal_sets)):
         subsumed = any(
             (other < lits) or (other == lits and j < i)
             for j, other in enumerate(literal_sets)
@@ -110,7 +105,7 @@ def _tidy_disjunct(d: Formula) -> Formula:
         )
         if not subsumed:
             kept.append(clause)
-    if len(kept) == len(clauses):
+    if len(kept) == len(pairs):
         return d
     return and_all(kept)
 

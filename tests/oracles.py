@@ -4,7 +4,9 @@ The walkers recurse once per nesting level, as the ones they stand for
 once did; the tests compare the iterative walkers with them on seeded
 corpora shallow enough for the interpreter stack.  The validation sweeps
 call `validates` or `eval3` once per delta, as the lifted checks did
-before they read a single interval table."""
+before they read a single interval table.  The OBDD build and walks
+recurse once per diagram level, with `apply`'s terminal cases written out
+as a ladder of their own."""
 from __future__ import annotations
 
 from partialsat import (
@@ -29,17 +31,21 @@ from partialsat import (
     classify,
     clause_literals,
     eval3,
+    exists_entails,
+    exists_validates,
     is_literal,
     residual,
+    to_existential,
     tseitin,
     validates,
 )
 from partialsat.assignment import total_assignments
 from partialsat.cnfize import _definition_clauses
-from partialsat.enumeration import _Budget
-from partialsat.formula import StructureReport, TokenStream, cnf_clauses, cube_literals, tokenize
+from partialsat.enumeration import Obdd, _Budget
+from partialsat.formula import (StructureReport, TokenStream, cnf_clauses, cube_literals, fold,
+                               tokenize)
 from partialsat.record import Record
-from partialsat import limits
+from partialsat import limits, predabs
 
 _BINARY = (And, Or, Implies, Iff)
 
@@ -306,3 +312,175 @@ def ref_check_validation_loss(mu, f):
                   for delta in total_assignments(result.fresh_atoms))
     return LossReport("validating", all(c.outcome != "validated" for c in cases), f,
                       result.cnf, result.fresh_atoms, cases)
+
+
+# ------------------------------------------------------------------ OBDD
+
+def ref_build_obdd(f, order=None, node_budget=None):
+    """`build_obdd` with recursive `negate` and `apply`, and a terminal-case
+    ladder per connective."""
+    order = tuple(sorted(atoms(f))) if order is None else tuple(order)
+    budget = limits.node_budget(node_budget)
+    bdd = Obdd(order)
+    level_of = {atom: i for i, atom in enumerate(order)}
+    not_memo, apply_memo = {}, {}
+
+    def negate(u):
+        if u < 2:
+            return 1 - u
+        cached = not_memo.get(u)
+        if cached is not None:
+            return cached
+        level, low, high = bdd.node(u)
+        result = bdd._mk(level, negate(low), negate(high), budget)
+        not_memo[u] = result
+        return result
+
+    def apply(op, u, v):
+        if op is And:
+            if u == 0 or v == 0:
+                return 0
+            if u == 1:
+                return v
+            if v == 1:
+                return u
+        elif op is Or:
+            if u == 1 or v == 1:
+                return 1
+            if u == 0:
+                return v
+            if v == 0:
+                return u
+        elif op is Implies:
+            if u == 0 or v == 1:
+                return 1
+            if u == 1:
+                return v
+            if v == 0:
+                return negate(u)
+        else:
+            if u == 1:
+                return v
+            if u == 0:
+                return negate(v)
+            if v == 1:
+                return u
+            if v == 0:
+                return negate(u)
+        key = (op, u, v)
+        cached = apply_memo.get(key)
+        if cached is not None:
+            return cached
+        lu, lowu, highu = bdd.node(u)
+        lv, lowv, highv = bdd.node(v)
+        level = min(lu, lv)
+        u_low, u_high = (lowu, highu) if lu == level else (u, u)
+        v_low, v_high = (lowv, highv) if lv == level else (v, v)
+        result = bdd._mk(
+            level, apply(op, u_low, v_low), apply(op, u_high, v_high), budget
+        )
+        apply_memo[key] = result
+        return result
+
+    def leaf(node):
+        if isinstance(node, Const):
+            return 1 if node.value else 0
+        return bdd._mk(level_of[node.atom], 0, 1, budget)
+
+    def combine(node, u, v=None):
+        return negate(u) if v is None else apply(type(node), u, v)
+
+    bdd.root = fold(f, combine, leaf)
+    return bdd
+
+
+def ref_signature(bdd):
+    """The nested fingerprint: `(atom name, low, high)` per node, with the
+    children's fingerprints inlined and "F"/"T" for the terminals."""
+    memo = {0: "F", 1: "T"}
+
+    def walk(node_id):
+        if node_id not in memo:
+            level, low, high = bdd.node(node_id)
+            memo[node_id] = (bdd.order[level].name, walk(low), walk(high))
+        return memo[node_id]
+
+    return walk(bdd.root)
+
+
+def ref_obdd_cubes(bdd):
+    """One assignment per root-to-true path, the high branch first."""
+    collected = []
+
+    def walk(node_id, bound):
+        if node_id == 1:
+            collected.append(Assignment(bound))
+        elif node_id > 1:
+            level, low, high = bdd.node(node_id)
+            atom = bdd.order[level]
+            walk(high, {**bound, atom: True})
+            walk(low, {**bound, atom: False})
+
+    walk(bdd.root, {})
+    return tuple(collected)
+
+
+def ref_obdd_to_formula(bdd):
+    """The if-then-else reading, one recursive call per node."""
+    memo = {0: FALSE, 1: TRUE}
+
+    def walk(node_id):
+        if node_id not in memo:
+            level, low, high = bdd.node(node_id)
+            ref = AtomRef(bdd.order[level])
+            memo[node_id] = Or(And(ref, walk(high)), And(Not(ref), walk(low)))
+        return memo[node_id]
+
+    return walk(bdd.root)
+
+
+# --------------------------------------------------------------- predabs
+
+def ref_enumerate_abstraction(p, mode):
+    """The label cubes of `enumerate_abstraction`, one recursive call per
+    split; satisfiability is read through `predabs.brute_satisfiable`."""
+    ef = to_existential(p)
+    labels = [label for label, _ in p.predicates]
+
+    def satisfiable_with(mu):
+        return predabs.brute_satisfiable(residual(ef.matrix, mu))
+
+    def leaf_test(mu):
+        if mode == "validating":
+            return exists_validates(mu, ef)[0]
+        return exists_entails(mu, ef)[0]
+
+    collected = []
+
+    def rec(mu):
+        while True:
+            if not satisfiable_with(mu):
+                return
+            if leaf_test(mu):
+                collected.append(mu)
+                return
+            forced = None
+            for label in labels:
+                if label in mu:
+                    continue
+                for value in (True, False):
+                    if not satisfiable_with(mu.bind(label, value)):
+                        forced = (label, not value)
+                        break
+                if forced:
+                    break
+            if forced is None:
+                break
+            mu = mu.bind(*forced)
+        unassigned = [label for label in labels if label not in mu]
+        assert unassigned, "a total open cube must pass its leaf test"
+        rec(mu.bind(unassigned[0], True))
+        rec(mu.bind(unassigned[0], False))
+
+    rec(Assignment({}))
+    return tuple(collected)

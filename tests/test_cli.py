@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from partialsat import Atom, TruthValue3, eval3, parse, parse_assignment
+from partialsat import cli
 from partialsat.cli import run
 
 GAP = "(A1 & A2) | (A1 & !A2)"
@@ -82,13 +83,24 @@ class TestCheck:
         assert out == ""
         assert err.startswith("error:")
 
-    def test_recursion_limit_exits_3_not_false(self, capsys):
-        # OBDD `apply` still recurses once per level of the diagram
+    def test_recursion_limit_exits_3_not_false(self, capsys, monkeypatch):
+        # nothing in the package recurses; the exit-3 mapping stays a guard
+        def overflow(args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setitem(cli._HANDLERS, "enumerate", overflow)
         deep_and = " & ".join(f"d{i}" for i in range(1200))
         code, out, err = invoke(capsys, "enumerate", "-f", deep_and, "--engine", "obdd")
         assert code == 3
         assert out == ""
         assert err == "error: formula nesting exceeds the recursion limit\n"
+
+    def test_deep_chain_enumerates_with_the_obdd(self, capsys):
+        names = [f"d{i}" for i in range(1200)]
+        code, out, err = invoke(capsys, "enumerate", "-f", " & ".join(names),
+                                "--engine", "obdd")
+        assert (code, err) == (0, "")
+        assert out == " & ".join(sorted(names)) + "\n"
 
     def test_deep_parentheses_are_decided(self, capsys):
         deep_parens = "(" * 500 + "d0" + ")" * 500

@@ -1,6 +1,13 @@
-"""Formula depth does not bound the formula walkers: 10^5-deep inputs parse,
-print, repr, CNF-ize, build an OBDD and enumerate without reaching the
-recursion limit."""
+"""Depth does not bound the package: 10^5-deep inputs parse, print, repr,
+CNF-ize, build an OBDD and enumerate, a 1,200-level OBDD builds and is
+walked, and no function calls itself."""
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from partialsat import (
@@ -19,8 +26,10 @@ from partialsat import (
     check_validation_loss,
     cnf_clauses,
     obdd_enumerate,
+    obdd_to_formula,
     or_all,
     parse,
+    residual,
     tableaux_enumerate,
     tseitin,
 )
@@ -76,3 +85,85 @@ def test_validation_loss_on_a_long_conjunction():
     report = check_validation_loss(mu, CONJUNCTION)
     assert not report.loss and report.fresh_atoms == ()
     assert [case.outcome for case in report.cases] == ["validated"]
+
+
+def test_obdd_of_a_long_conjunction():
+    bdd = build_obdd(CONJUNCTION)
+    assert bdd.internal_node_count == 1200
+    everything = Assignment({a: True for a in atoms(CONJUNCTION)})
+    assert obdd_enumerate(bdd, CONJUNCTION).assignments == (everything,)
+    back = obdd_to_formula(bdd)
+    assert residual(back, everything) == residual(CONJUNCTION, everything)
+    assert build_obdd(back).signature() == bdd.signature()
+    hash(bdd.signature())
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Every CLI verb on inputs of 300 atoms or levels, under a recursion limit
+# of 100 set after the package is imported; prints [verb, code, stderr].
+LOW_LIMIT_SCRIPT = """
+import contextlib, io, json, os, sys, tempfile
+from partialsat.cli import run
+
+names = [f"d{i}" for i in range(300)]
+chain = " & ".join(names)
+base = "B1"
+for i in range(300):
+    base = f"({base}) {'|&'[i % 2]} B{1 + i % 2}"
+path = os.path.join(tempfile.mkdtemp(), "problem.json")
+with open(path, "w") as fh:
+    json.dump({"base": base, "predicates": [{"label": "P1", "def": "B1 & B2"},
+                                            {"label": "P2", "def": "B1 | !B2"}]}, fh)
+commands = {
+    "check": ["check", "-f", chain, "-a", ""],
+    "residual": ["residual", "-f", chain, "-a", "d0, d1"],
+    **{f"enumerate {e}": ["enumerate", "-f", chain, "--engine", e]
+       for e in ("dpll", "tableaux", "obdd")},
+    "cnfize": ["cnfize", "-f", chain, "-a", ", ".join(names), "--check-loss", "validating"],
+    "shannon": ["shannon", "-f", "exists B1 . (B1 | d0) & " + chain],
+    **{f"predabs {m}": ["predabs", "--problem", path, "--mode", m]
+       for m in ("validating", "entailing")},
+    "compare": ["compare", "--problem", path],
+}
+sys.setrecursionlimit(100)
+for verb, argv in commands.items():
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv)
+    print(json.dumps([verb, code, err.getvalue()]))
+"""
+
+
+def test_every_verb_runs_under_a_low_recursion_limit():
+    proc = subprocess.run([sys.executable, "-c", LOW_LIMIT_SCRIPT], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [verb for verb, _, _ in rows] == [
+        "check", "residual", "enumerate dpll", "enumerate tableaux", "enumerate obdd",
+        "cnfize", "shannon", "predabs validating", "predabs entailing", "compare"]
+    assert [(code, err) for _, code, err in rows] == [(0, "")] * len(rows)
+
+
+def _callee_name(call):
+    """`f` for a call `f(...)` or `self.f(...)`, else None."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "self":
+        return func.attr
+    return getattr(func, "id", None)
+
+
+def _self_calls(tree):
+    """Names of the functions whose body calls them by name."""
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and any(
+                isinstance(node, ast.Call) and _callee_name(node) == fn.name
+                for node in ast.walk(fn)):
+            yield fn.name
+
+
+def test_no_function_calls_itself():
+    found = {path.name: sorted(set(_self_calls(ast.parse(path.read_text()))))
+             for path in sorted((SRC / "partialsat").glob("*.py"))}
+    assert {name: calls for name, calls in found.items() if calls} == {}

@@ -29,7 +29,14 @@ from partialsat import enumeration
 from partialsat.enumeration import _Budget, _dpll_walk
 from gen import atom_pool, equivalent_variant, random_formula
 import oracles
-from oracles import ref_fold, ref_tableaux
+from oracles import (
+    ref_build_obdd,
+    ref_fold,
+    ref_obdd_cubes,
+    ref_obdd_to_formula,
+    ref_signature,
+    ref_tableaux,
+)
 
 GAP = parse("(A1 & A2) | (A1 & !A2)")
 
@@ -59,6 +66,16 @@ def ref_dpll_walk(f, budget):
             )
 
     yield from rec(Assignment({}), f)
+
+
+def _reachable(bdd):
+    stack, seen = [bdd.root], set()
+    while stack:
+        node_id = stack.pop()
+        if node_id > 1 and node_id not in seen:
+            seen.add(node_id)
+            stack += bdd.node(node_id)[1:]
+    return seen
 
 
 def _texts(result: EnumResult) -> list[str]:
@@ -125,6 +142,53 @@ class TestObddStructure:
         monkeypatch.setattr(enumeration, "fold", ref_fold)
         assert ours == [run(f, budget) for f, budget in zip(corpus, budgets)]
         assert 50 < sum(outcome[0] == "limit" for outcome in ours) < 550
+
+    def test_matches_recursive_build(self):
+        """The same node store, root, signature and budget outcome as the
+        recursive `apply`/`negate` with its terminal-case ladder, and the
+        same cubes and read-back as the recursive walks."""
+        def run(build, f, order, budget):
+            try:
+                bdd = build(f, order=order, node_budget=budget)
+            except ResourceLimitError as exc:
+                return ("limit", str(exc)), None
+            return (bdd._nodes, bdd.root, bdd.signature()), bdd
+
+        rng = random.Random(7011)
+        limited = 0
+        for _ in range(2400):
+            pool = atom_pool(rng.randint(1, 9))
+            f = random_formula(rng, pool, max_depth=rng.randint(0, 8), const_chance=0.15)
+            order = None
+            if rng.random() < 0.4:
+                order = sorted(atoms(f) | set(rng.sample(pool, rng.randint(0, len(pool)))))
+                rng.shuffle(order)
+            budget = rng.choice((None, rng.randint(0, 30)))
+            ours, bdd = run(build_obdd, f, order, budget)
+            theirs, ref = run(ref_build_obdd, f, order, budget)
+            assert ours == theirs
+            if bdd is None:
+                limited += 1
+                continue
+            assert obdd_enumerate(bdd, f).assignments == ref_obdd_cubes(ref)
+            assert obdd_to_formula(bdd) == ref_obdd_to_formula(ref)
+        assert 200 < limited < 1200
+
+    def test_flat_signature_tells_diagrams_apart_as_the_nested_one(self):
+        rng = random.Random(7012)
+        pool = atom_pool(5)
+        agree = 0
+        for _ in range(400):
+            f = random_formula(rng, pool, max_depth=4, const_chance=0.1)
+            g = equivalent_variant(rng, f) if rng.random() < 0.5 else random_formula(
+                rng, pool, max_depth=4, const_chance=0.1)
+            order = tuple(rng.sample(pool, len(pool)))
+            bf, bg = build_obdd(f, order=order), build_obdd(g, order=order)
+            same = bf.signature() == bg.signature()
+            assert same == (ref_signature(bf) == ref_signature(bg))
+            assert bf.internal_node_count == len(_reachable(bf))
+            agree += same
+        assert 150 < agree < 350
 
     def test_node_budget_env_override(self, monkeypatch):
         monkeypatch.setenv("PARTIALSAT_NODE_BUDGET", "1")

@@ -17,7 +17,9 @@ from partialsat import (
     to_existential,
     verify_enumeration,
 )
+from partialsat import predabs
 from gen import atom_pool, random_formula
+from oracles import ref_enumerate_abstraction
 
 # Two observable labels over a hidden pair of equivalent atoms: A1 holds in
 # the hidden state (true, true), A2 in (true, false) which the base forbids.
@@ -173,6 +175,29 @@ class TestRandomProblems:
             for i in range(count)
         )
         return PredAbsProblem(base=base, predicates=predicates)
+
+    def test_matches_recursive_search(self, monkeypatch):
+        """The same cubes in the same order from the same satisfiability
+        checks, made in the same order."""
+        checks = []
+        real = predabs.brute_satisfiable
+        monkeypatch.setattr(predabs, "brute_satisfiable",
+                            lambda f, cap=None: checks.append(f) or real(f, cap))
+
+        def run(search, p, mode):
+            checks.clear()
+            return search(p, mode), tuple(checks)
+
+        rng = random.Random(8004)
+        for _ in range(150):
+            hidden = atom_pool(rng.randint(2, 4), prefix="B")
+            p = PredAbsProblem(
+                base=random_formula(rng, hidden, max_depth=3),
+                predicates=tuple((Atom(f"P{i + 1}"), random_formula(rng, hidden, max_depth=3))
+                                 for i in range(rng.randint(1, 5))))
+            for mode in ("validating", "entailing"):
+                ours = run(lambda p, mode: enumerate_abstraction(p, mode).assignments, p, mode)
+                assert ours == run(ref_enumerate_abstraction, p, mode)
 
     def test_cubes_pass_their_own_leaf_checks(self):
         rng = random.Random(8001)
