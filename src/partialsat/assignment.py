@@ -10,15 +10,17 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import InconsistentAssignmentError, ParseError
+from .errors import InconsistentAssignmentError
 from .formula import (
     Atom,
     Formula,
     Literal,
     TRUE,
-    TokenStream,
     and_all,
     cube_literals,
+    expect,
+    name_ref,
+    parse_error,
     tokenize,
 )
 
@@ -150,20 +152,18 @@ def total_assignments(ordered: Sequence[Atom]) -> Iterator[Assignment]:
 
 def parse_assignment(text: str) -> Assignment:
     """Parse the literal-set syntax, e.g. ``A1, !A3``; blank means empty."""
-    stream = TokenStream(tokenize(text))
+    tokens = tokenize(text)
+    refs: dict = {}
     literals: list[Literal] = []
-    if stream.peek().kind != "EOF":
-        while True:
-            positive = True
-            if stream.peek().kind == "NOT":
-                stream.next()
-                positive = False
-            tok = stream.expect("NAME", "an atom name")
-            literals.append(Literal(Atom(tok.text), positive))
-            if stream.peek().kind != "COMMA":
-                break
-            stream.next()
-    tok = stream.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column)
+    i = 0
+    while tokens[0][0] != "EOF":  # one literal per turn, unless the text is blank
+        positive = tokens[i][0] != "NOT"
+        i = expect(text, tokens, i + (not positive), "NAME", "an atom name")
+        literals.append(Literal(name_ref(refs, tokens[i - 1][1]).atom, positive))
+        if tokens[i][0] != "COMMA":
+            break
+        i += 1
+    kind, word, at = tokens[i]
+    if kind != "EOF":
+        raise parse_error(text, f"unexpected {word!r}", at)
     return Assignment.from_literals(literals)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from functools import total_ordering
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .errors import ParseError
 from .record import Record
@@ -169,19 +169,20 @@ class Literal(Record):
 
 
 def atoms(f: Formula) -> frozenset[Atom]:
-    """The set of atoms occurring in f."""
-    found: set[Atom] = set()
+    """The set of atoms occurring in f.  They are gathered by name (an
+    Atom's hash runs Python code), so each is hashed once."""
+    found: dict[str, Atom] = {}
     stack = [f]
     while stack:
         node = stack.pop()
-        if isinstance(node, AtomRef):
-            found.add(node.atom)
-        elif isinstance(node, Not):
+        kind = type(node)
+        if kind is AtomRef:
+            found[node.atom.name] = node.atom
+        elif kind is Not:
             stack.append(node.arg)
-        elif isinstance(node, _BINARY):
-            stack.append(node.left)
-            stack.append(node.right)
-    return frozenset(found)
+        elif kind in _BINARY:
+            stack += (node.left, node.right)
+    return frozenset(found.values())
 
 
 def fold(f: Formula, combine, leaf=None):
@@ -228,68 +229,63 @@ def or_all(parts: Iterable[Formula], empty: Formula = FALSE) -> Formula:
 
 # ------------------------------------------------------------------ lexer
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    column: int
+# A lexeme after any blanks (`<->` before `->`; a newline is one, which
+# the lexer drops), a comment, or any other character, which is unknown.
+# Trailing blanks match nothing.
+_TOKEN = re.compile(r"([ \t\r]*)(?:(<->|->|[!&|().,\n]|[A-Za-z][A-Za-z0-9_]*)|(#.*)|([^ \t\r\n]))")
+_KIND = {"<->": "IFF", "->": "IMPLIES", "!": "NOT", "&": "AND", "|": "OR", "(": "LPAREN",
+         ")": "RPAREN", ".": "DOT", ",": "COMMA", "\n": None, **_RESERVED}
 
 
-# One alternative per token kind, `<->` before `->`, after any blanks.
-# Newlines and comments are matched only to be skipped, and any other
-# character is unknown; trailing blanks match nothing.
-_TOKEN = re.compile(
-    r"[ \t\r]*(?:(?P<IFF><->)|(?P<IMPLIES>->)|(?P<NOT>!)|(?P<AND>&)|(?P<OR>\|)"
-    r"|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<DOT>\.)|(?P<COMMA>,)"
-    r"|(?P<NAME>[A-Za-z][A-Za-z0-9_]*)|(?P<NEWLINE>\n)|(?P<COMMENT>#.*)|(?P<UNKNOWN>[^ \t\r\n]))"
-)
-
-
-def tokenize(text: str) -> list[Token]:
-    """Split text into tokens; used by the formula, assignment, and
-    quantified-formula parsers."""
-    tokens: list[Token] = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "NEWLINE":
-            line, line_start = line + 1, m.end()
-        elif kind != "COMMENT":
-            word = m.group(kind)
-            column = m.start(kind) - line_start + 1
-            if kind == "UNKNOWN":
-                raise ParseError(f"unknown token {word!r}", line, column)
-            tokens.append(Token(_RESERVED.get(word, kind) if kind == "NAME" else kind,
-                                word, line, column))
-    last = text[line_start:].partition("#")[0]  # a comment does not advance the column
-    tokens.append(Token("EOF", "", line, len(last) + 1))
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    """Split text into (kind, lexeme, offset) tuples, the last of kind EOF;
+    used by the formula, assignment, and quantified-formula parsers."""
+    tokens = []
+    at = 0
+    for blank, word, comment, unknown in _TOKEN.findall(text):
+        at += len(blank)
+        if word:
+            kind = _KIND.get(word, "NAME")
+            if kind:
+                tokens.append((kind, word, at))
+            at += len(word)
+        elif unknown:
+            raise parse_error(text, f"unknown token {unknown!r}", at)
+        else:
+            at += len(comment)
+    start = text.rfind("\n") + 1  # a comment does not advance the end's column
+    tokens.append(("EOF", "", start + len(text[start:].partition("#")[0])))
     return tokens
 
 
-class TokenStream:
-    def __init__(self, tokens: list[Token]):
-        self._tokens = tokens
-        self._pos = 0
-
-    def peek(self) -> Token:
-        return self._tokens[self._pos]
-
-    def next(self) -> Token:
-        tok = self._tokens[self._pos]
-        if tok.kind != "EOF":
-            self._pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise _expected(what, tok)
-        return self.next()
+def parse_error(text: str, message: str, at: int) -> ParseError:
+    """A ParseError at offset `at` of text, with its line and column."""
+    return ParseError(message, text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
 
 
-def _expected(what: str, tok: Token) -> ParseError:
-    shown = tok.text if tok.kind != "EOF" else "end of input"
-    return ParseError(f"expected {what}, found {shown!r}", tok.line, tok.column)
+def expected(text: str, what: str, token: tuple) -> ParseError:
+    """The ParseError for `token` where `what` was expected."""
+    kind, word, at = token
+    found = "end of input" if kind == "EOF" else word
+    return parse_error(text, f"expected {what}, found {found!r}", at)
+
+
+def expect(text: str, tokens: list, i: int, kind: str, what: str) -> int:
+    """The index after tokens[i], which must be of `kind`."""
+    if tokens[i][0] != kind:
+        raise expected(text, what, tokens[i])
+    return i + 1
+
+
+def name_ref(refs: dict, name: str) -> AtomRef:
+    """The AtomRef for a NAME token's text, one per name in `refs` (one
+    parse).  The lexer already made it a valid, unreserved atom name."""
+    ref = refs.get(name)
+    if ref is None:
+        atom = object.__new__(Atom)
+        _init(atom, "name", name)
+        refs[name] = ref = AtomRef(atom)
+    return ref
 
 
 # Per connective: its operator, its precedence level (loosest first; atoms
@@ -308,8 +304,9 @@ _LEAF_SYNTAX = ("", 6, None, None)
 _INFIX = {op.strip(): (kind, left) for kind, (op, _, left, _) in _SYNTAX.items() if left}
 
 
-def parse_formula_body(stream: TokenStream) -> Formula:
-    """Parse one formula from the stream, leaving trailing tokens unconsumed.
+def parse_formula_body(text: str, tokens: list, i: int, refs: dict) -> tuple[Formula, int]:
+    """Parse one formula from tokens[i:], returning it with the index of the
+    first token after it.
 
     One loop over operand and operator stacks (None marks an open
     parenthesis), so depth is not bounded by the recursion limit.  Stacked
@@ -318,30 +315,31 @@ def parse_formula_body(stream: TokenStream) -> Formula:
     operands: list[Formula] = []
     pending: list = []
     while True:
-        tok = stream.next()
-        if tok.kind == "NAME":
-            operands.append(AtomRef(Atom(tok.text)))
-        elif tok.kind == "NOT" or tok.kind == "LPAREN":
-            pending.append(Not if tok.kind == "NOT" else None)
+        kind, word, _ = tokens[i]
+        if kind == "NAME":
+            operands.append(name_ref(refs, word))
+        elif kind == "NOT" or kind == "LPAREN":
+            pending.append(Not if kind == "NOT" else None)
+            i += 1
             continue
-        elif tok.kind == "TRUE" or tok.kind == "FALSE":
-            operands.append(TRUE if tok.kind == "TRUE" else FALSE)
+        elif kind == "TRUE" or kind == "FALSE":
+            operands.append(TRUE if kind == "TRUE" else FALSE)
         else:
-            raise _expected("a formula", tok)
+            raise expected(text, "a formula", tokens[i])
+        i += 1
         while True:  # after an operand: an infix connective, ')' or the end
-            tok = stream.peek()
-            kind, least = _INFIX.get(tok.text, (None, 0))
+            op, least = _INFIX.get(tokens[i][1], (None, 0))
             while pending and pending[-1] is not None and _SYNTAX[pending[-1]][1] >= least:
-                op = pending.pop()
+                top = pending.pop()
                 arg = operands.pop()
-                operands.append(Not(arg) if op is Not else op(operands.pop(), arg))
-            if kind is not None:
-                pending.append(kind)
-                stream.next()
+                operands.append(Not(arg) if top is Not else top(operands.pop(), arg))
+            if op is not None:
+                pending.append(op)
+                i += 1
                 break
             if not pending:
-                return operands[0]
-            stream.expect("RPAREN", "')'")
+                return operands[0], i
+            i = expect(text, tokens, i, "RPAREN", "')'")
             pending.pop()
 
 
@@ -350,9 +348,9 @@ def parse(text: str) -> Formula:
 
     Raises ParseError (with line and column) on malformed input.
     """
-    stream = TokenStream(tokenize(text))
-    f = parse_formula_body(stream)
-    stream.expect("EOF", "end of input")
+    tokens = tokenize(text)
+    f, i = parse_formula_body(text, tokens, 0, {})
+    expect(text, tokens, i, "EOF", "end of input")
     return f
 
 

@@ -49,32 +49,37 @@ def _fill_false(universe: set[Atom], bound: Assignment) -> Assignment:
     return bound.union(Assignment(rest))
 
 
+_BACKENDS = ("auto", "brute", "dpll")
+
+
 def _entails_with_witness(
     mu: Assignment,
     f: Formula,
     backend: str = "auto",
     atom_cap: int | None = None,
     branch_budget: int | None = None,
+    r: Formula | None = None,
 ) -> tuple[bool, Assignment | None]:
-    if backend not in ("auto", "brute", "dpll"):
+    """mu ⊨ f, decided on r = f|mu (taken here when not given), with the
+    first falsifying extension when it fails."""
+    if backend not in _BACKENDS:
         raise ValueError(f"unknown entailment backend: {backend!r}")
-    universe = set(atoms(f) | mu.domain)
-    r = residual(f, mu)
-    if r == TRUE:
+    if r is None:
+        r = residual(f, mu)
+    if r is TRUE:
         return True, None
-    if r == FALSE:
-        return False, _fill_false(universe, mu)
-    if backend == "brute" or (
-        backend == "auto" and len(atoms(r)) <= limits.max_atoms(atom_cap)
-    ):
-        rho = first_falsifying(r, atom_cap)
-    else:
-        # a validating cube of ¬r binds only atoms of r and falsifies r
-        negated = r.arg if isinstance(r, Not) else Not(r)
-        rho = enumeration.dpll_first_assignment(negated, branch_budget)
-    if rho is None:
-        return True, None
-    return False, _fill_false(universe, mu.union(rho))
+    rho = None
+    if r is not FALSE:
+        found = atoms(r)
+        if backend == "brute" or backend == "auto" and len(found) <= limits.max_atoms(atom_cap):
+            rho = first_falsifying(r, atom_cap, _atoms=found)
+        else:
+            # a validating cube of ¬r binds only atoms of r and falsifies r
+            negated = r.arg if isinstance(r, Not) else Not(r)
+            rho = enumeration.dpll_first_assignment(negated, branch_budget)
+        if rho is None:
+            return True, None
+    return False, _fill_false(set(atoms(f) | mu.domain), mu if rho is None else mu.union(rho))
 
 
 def entails(
@@ -101,11 +106,12 @@ def verdict(
     atom_cap: int | None = None,
     branch_budget: int | None = None,
 ) -> SatVerdict:
-    """Both checks at once, with a falsifying extension when entails fails."""
-    v = validates(mu, f)
-    e, witness = _entails_with_witness(mu, f, backend, atom_cap, branch_budget)
-    assert not (v and not e), "validation must imply entailment"
-    return SatVerdict(validates=v, entails=e, witness=witness)
+    """Both checks at once, on one residual f|mu, with a falsifying
+    extension when entails fails."""
+    r = residual(f, mu)
+    e, witness = _entails_with_witness(mu, f, backend, atom_cap, branch_budget, r)
+    assert e or r is not TRUE, "validation must imply entailment"
+    return SatVerdict(validates=r is TRUE, entails=e, witness=witness)
 
 
 def most_frequent_atom(f: Formula) -> Atom | None:
@@ -136,10 +142,10 @@ def extend_to_validating(
     minimal only by construction (the extension stops as soon as the residual
     reaches `true`); no global minimality is attempted.
     """
-    if not entails(mu, f, backend, atom_cap, branch_budget):
+    r = residual(f, mu) if backend in _BACKENDS else None  # a bad backend raises first
+    if not _entails_with_witness(mu, f, backend, atom_cap, branch_budget, r)[0]:
         raise ValueError("precondition violated: mu does not entail f")
     current = mu
-    r = residual(f, current)
     while r != TRUE:
         atom = most_frequent_atom(r)
         r_true = residual(r, Assignment({atom: True}))
@@ -160,7 +166,7 @@ def cnf_equivalence_check(
     the shared value."""
     if not classify(f).is_tautology_free_cnf:
         raise ValueError("formula must be tautology-free CNF")
-    v = validates(mu, f)
-    e = entails(mu, f, backend, atom_cap)
-    assert v == e, "validation and entailment must coincide on tautology-free CNF"
-    return v
+    r = residual(f, mu)
+    e = _entails_with_witness(mu, f, backend, atom_cap, None, r)[0]
+    assert e == (r is TRUE), "validation and entailment must coincide on tautology-free CNF"
+    return e

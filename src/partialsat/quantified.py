@@ -10,7 +10,7 @@ the plain checks applied to the Shannon expansion.
 from __future__ import annotations
 
 from .assignment import Assignment, total_assignments
-from .errors import ParseError, ResourceLimitError
+from .errors import ResourceLimitError
 from .formula import (
     Atom,
     FALSE,
@@ -18,10 +18,12 @@ from .formula import (
     _cnf_literals,
     and_all,
     atoms,
+    expect,
+    name_ref,
     or_all,
+    parse_error,
     parse_formula_body,
     tokenize,
-    TokenStream,
 )
 from .partial_sat import validates  # noqa: F401 (perfbench wraps it)
 from .record import Record
@@ -52,24 +54,21 @@ class ExistentialFormula(Record):
 def parse_existential(text: str) -> ExistentialFormula:
     """Parse `exists B1 B2 . <formula>`; without the prefix the bound set
     is empty."""
-    stream = TokenStream(tokenize(text))
+    tokens = tokenize(text)
+    refs: dict = {}
     quantified: frozenset[Atom] = frozenset()
-    if stream.peek().kind == "EXISTS":
-        stream.next()
-        names = []
-        while stream.peek().kind == "NAME":
-            names.append(Atom(stream.next().text))
-        if not names:
-            tok = stream.peek()
-            raise ParseError(
-                "expected at least one atom name after 'exists'",
-                tok.line,
-                tok.column,
-            )
-        stream.expect("DOT", "'.' after the quantified atoms")
-        quantified = frozenset(names)
-    matrix = parse_formula_body(stream)
-    stream.expect("EOF", "end of input")
+    i = 0
+    if tokens[0][0] == "EXISTS":
+        i = 1
+        while tokens[i][0] == "NAME":
+            i += 1
+        if i == 1:
+            raise parse_error(text, "expected at least one atom name after 'exists'",
+                              tokens[1][2])
+        i = expect(text, tokens, i, "DOT", "'.' after the quantified atoms")
+        quantified = frozenset(name_ref(refs, word).atom for _, word, _ in tokens[1:i - 1])
+    matrix, i = parse_formula_body(text, tokens, i, refs)
+    expect(text, tokens, i, "EOF", "end of input")
     return ExistentialFormula(matrix=matrix, quantified=quantified)
 
 
@@ -90,24 +89,24 @@ def _guard_bound_domain(mu: Assignment, ef: ExistentialFormula) -> None:
 
 
 def _tidy_disjunct(d: Formula) -> Formula:
-    """Drop clauses subsumed by (or duplicating) another clause of a CNF
-    disjunct; non-CNF disjuncts are left alone."""
+    """Drop clauses subsumed by another clause of a CNF disjunct, or equal
+    to an earlier one; non-CNF disjuncts are left alone.  A strict subset
+    is smaller, so each clause is tested only against the shorter ones.
+    Literals are keyed by (name, sign), whose hash runs no Python code."""
     pairs = _cnf_literals(d)
     if pairs is None or len(pairs) < 2:
         return d
-    literal_sets = [frozenset(lits) for _, lits in pairs]
-    kept = []
-    for i, ((clause, _), lits) in enumerate(zip(pairs, literal_sets)):
-        subsumed = any(
-            (other < lits) or (other == lits and j < i)
-            for j, other in enumerate(literal_sets)
-            if j != i
-        )
-        if not subsumed:
-            kept.append(clause)
-    if len(kept) == len(pairs):
-        return d
-    return and_all(kept)
+    first: dict[frozenset, Formula] = {}
+    by_size: dict[int, list[frozenset]] = {}
+    for clause, lits in pairs:
+        lits = frozenset([(lit.atom.name, lit.positive) for lit in lits])
+        if lits not in first:
+            first[lits] = clause
+            by_size.setdefault(len(lits), []).append(lits)
+    kept = [clause for lits, clause in first.items()
+            if not any(other < lits for n, group in by_size.items() if n < len(lits)
+                       for other in group)]
+    return d if len(kept) == len(pairs) else and_all(kept)
 
 
 def shannon_expand(

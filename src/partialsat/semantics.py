@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import functools
+from operator import attrgetter
 from typing import Iterator
 
 from .assignment import EMPTY_ASSIGNMENT, Assignment, total_assignments
@@ -277,8 +278,8 @@ def sat_total(f: Formula, eta: Assignment) -> bool:
     return _table(f, {a.name: int(eta.value(a)) for a in needed}, 1) == 1
 
 
-def _sweep_atoms(f: Formula, atom_cap: int | None) -> list[Atom]:
-    avs = sorted(atoms(f))
+def _sweep_atoms(f: Formula, atom_cap: int | None, found=None) -> list[Atom]:
+    avs = sorted(atoms(f) if found is None else found, key=attrgetter("name"))  # no __lt__ calls
     cap = limits.max_atoms(atom_cap)
     if len(avs) > cap:
         raise ResourceLimitError(
@@ -297,9 +298,11 @@ def brute_satisfiable(f: Formula, atom_cap: int | None = None) -> bool:
     return first_satisfying(f, atom_cap) is not None
 
 
-def first_falsifying(f: Formula, atom_cap: int | None = None) -> Assignment | None:
-    """The lexicographically first total assignment falsifying f, or None."""
-    return first_block(f, _sweep_atoms(f, atom_cap), [])
+def first_falsifying(f: Formula, atom_cap: int | None = None, *,
+                     _atoms: frozenset[Atom] | None = None) -> Assignment | None:
+    """The lexicographically first total assignment falsifying f, or None;
+    `_atoms` is atoms(f) when the caller already has it."""
+    return first_block(f, _sweep_atoms(f, atom_cap, _atoms), [])
 
 
 def first_satisfying(f: Formula, atom_cap: int | None = None) -> Assignment | None:

@@ -14,6 +14,8 @@ from partialsat import (
     Implies,
     Not,
     Or,
+    ParseError,
+    PartialSatError,
     and_all,
     atoms,
     or_all,
@@ -121,3 +123,29 @@ def deep_chain(node: type, depth: int, right_deep: bool = False) -> Formula:
         else:
             f = node(leaves[i % 10], f) if right_deep else node(f, leaves[i % 10])
     return f
+
+
+def mutate_words(rng: random.Random, words: list[str], soup: list[str]) -> list[str]:
+    """Up to two random edits of a word list: insert, delete or replace one
+    word, with inserted and replacing words drawn from the soup."""
+    words = list(words)
+    for _ in range(rng.randint(0, 2)):
+        at = rng.randint(0, len(words))
+        edit = rng.randrange(3)
+        if edit == 0 or not words[at:]:
+            words.insert(at, rng.choice(soup))
+        elif edit == 1:
+            del words[at]
+        else:
+            words[at] = rng.choice(soup)
+    return words
+
+
+def outcome(fn, *args) -> tuple:
+    """What fn makes of args: ("returned", result), or the library error's
+    type and message, with the line and column of a ParseError."""
+    try:
+        return ("returned", fn(*args))
+    except PartialSatError as exc:
+        where = (exc.line, exc.column) if isinstance(exc, ParseError) else ()
+        return ("error", type(exc), str(exc), *where)

@@ -6,8 +6,15 @@ corpora shallow enough for the interpreter stack.  The validation sweeps
 call `validates` or `eval3` once per delta, as the lifted checks did
 before they read a single interval table.  The OBDD build and walks
 recurse once per diagram level, with `apply`'s terminal cases written out
-as a ladder of their own."""
+as a ladder of their own.  The lexer builds one `Token` record per token
+with its line and column, and the parsers read it through a `TokenStream`,
+as they did before the lexer yielded bare tuples; `ref_verdict` takes the
+residual once for validation and again for entailment, and
+`ref_tidy_disjunct` compares every pair of a disjunct's clauses."""
 from __future__ import annotations
+
+import re
+from typing import NamedTuple
 
 from partialsat import (
     And,
@@ -19,10 +26,12 @@ from partialsat import (
     Iff,
     Implies,
     LossCase,
+    Literal,
     LossReport,
     Not,
     Or,
     ParseError,
+    SatVerdict,
     TRUE,
     TruthValue3,
     TseitinResult,
@@ -42,19 +51,79 @@ from partialsat import (
 from partialsat.assignment import total_assignments
 from partialsat.cnfize import _definition_clauses
 from partialsat.enumeration import Obdd, _Budget
-from partialsat.formula import (StructureReport, TokenStream, cnf_clauses, cube_literals, fold,
-                               tokenize)
+from partialsat.formula import StructureReport, _cnf_literals, cnf_clauses, cube_literals, fold
+from partialsat.partial_sat import _entails_with_witness
+from partialsat.quantified import ExistentialFormula
 from partialsat.record import Record
 from partialsat import limits, predabs
 
 _BINARY = (And, Or, Implies, Iff)
 
 
+# ----------------------------------------------------------------- lexer
+
+class Token(NamedTuple):
+    kind: str
+    text: str
+    line: int
+    column: int
+
+
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:(?P<IFF><->)|(?P<IMPLIES>->)|(?P<NOT>!)|(?P<AND>&)|(?P<OR>\|)"
+    r"|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<DOT>\.)|(?P<COMMA>,)"
+    r"|(?P<NAME>[A-Za-z][A-Za-z0-9_]*)|(?P<NEWLINE>\n)|(?P<COMMENT>#.*)|(?P<UNKNOWN>[^ \t\r\n]))"
+)
+_RESERVED = {"true": "TRUE", "false": "FALSE", "exists": "EXISTS"}
+
+
+def ref_tokenize(text):
+    """One `Token` per lexeme, counting lines and columns as it goes."""
+    tokens = []
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
+        elif kind != "COMMENT":
+            word = m.group(kind)
+            column = m.start(kind) - line_start + 1
+            if kind == "UNKNOWN":
+                raise ParseError(f"unknown token {word!r}", line, column)
+            tokens.append(Token(_RESERVED.get(word, kind) if kind == "NAME" else kind,
+                                word, line, column))
+    last = text[line_start:].partition("#")[0]  # a comment does not advance the column
+    tokens.append(Token("EOF", "", line, len(last) + 1))
+    return tokens
+
+
+class TokenStream:
+    def __init__(self, tokens):
+        self._tokens = tokens
+        self._pos = 0
+
+    def peek(self):
+        return self._tokens[self._pos]
+
+    def next(self):
+        tok = self._tokens[self._pos]
+        if tok.kind != "EOF":
+            self._pos += 1
+        return tok
+
+    def expect(self, kind, what):
+        tok = self.peek()
+        if tok.kind != kind:
+            shown = tok.text if tok.kind != "EOF" else "end of input"
+            raise ParseError(f"expected {what}, found {shown!r}", tok.line, tok.column)
+        return self.next()
+
+
 # ---------------------------------------------------------------- parser
 
 def ref_parse(text):
     """Recursive-descent parse of the grammar in `partialsat.formula`."""
-    stream = TokenStream(tokenize(text))
+    stream = TokenStream(ref_tokenize(text))
     f = _parse_iff(stream)
     stream.expect("EOF", "end of input")
     return f
@@ -113,6 +182,73 @@ def _parse_not(s):
         return inner
     shown = tok.text if tok.kind != "EOF" else "end of input"
     raise ParseError(f"expected a formula, found {shown!r}", tok.line, tok.column)
+
+
+def ref_parse_assignment(text):
+    """`parse_assignment` on a `TokenStream`."""
+    stream = TokenStream(ref_tokenize(text))
+    literals = []
+    if stream.peek().kind != "EOF":
+        while True:
+            positive = True
+            if stream.peek().kind == "NOT":
+                stream.next()
+                positive = False
+            tok = stream.expect("NAME", "an atom name")
+            literals.append(Literal(Atom(tok.text), positive))
+            if stream.peek().kind != "COMMA":
+                break
+            stream.next()
+    tok = stream.peek()
+    if tok.kind != "EOF":
+        raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column)
+    return Assignment.from_literals(literals)
+
+
+def ref_parse_existential(text):
+    """`parse_existential` on a `TokenStream`, its matrix parsed by
+    recursive descent."""
+    stream = TokenStream(ref_tokenize(text))
+    quantified = frozenset()
+    if stream.peek().kind == "EXISTS":
+        stream.next()
+        names = []
+        while stream.peek().kind == "NAME":
+            names.append(Atom(stream.next().text))
+        if not names:
+            tok = stream.peek()
+            raise ParseError("expected at least one atom name after 'exists'",
+                             tok.line, tok.column)
+        stream.expect("DOT", "'.' after the quantified atoms")
+        quantified = frozenset(names)
+    matrix = _parse_iff(stream)
+    stream.expect("EOF", "end of input")
+    return ExistentialFormula(matrix=matrix, quantified=quantified)
+
+
+# ------------------------------------------------------------- shannon
+
+def ref_tidy_disjunct(d):
+    """`quantified._tidy_disjunct` comparing every pair of clauses."""
+    pairs = _cnf_literals(d)
+    if pairs is None or len(pairs) < 2:
+        return d
+    literal_sets = [frozenset(lits) for _, lits in pairs]
+    kept = []
+    for i, ((clause, _), lits) in enumerate(zip(pairs, literal_sets)):
+        if not any(other < lits or (other == lits and j < i)
+                   for j, other in enumerate(literal_sets) if j != i):
+            kept.append(clause)
+    return d if len(kept) == len(pairs) else and_all(kept)
+
+
+# --------------------------------------------------------------- verdict
+
+def ref_verdict(mu, f, backend="auto", atom_cap=None, branch_budget=None):
+    """`verdict` with the residual taken by `validates` and again by the
+    entailment check."""
+    return SatVerdict(validates(mu, f),
+                      *_entails_with_witness(mu, f, backend, atom_cap, branch_budget))
 
 
 # ------------------------------------------------------- fold and repr

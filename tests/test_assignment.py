@@ -19,6 +19,8 @@ from partialsat import (
     parse_assignment,
 )
 from partialsat.assignment import Assignment as _Assignment, total_assignments
+from gen import atom_pool, mutate_words, outcome, random_partial_assignment
+from oracles import ref_parse_assignment
 
 A1, A2, A3, B1 = Atom("A1"), Atom("A2"), Atom("A3"), Atom("B1")
 
@@ -168,6 +170,28 @@ class TestParseAssignment:
             parse_assignment("A1,")
         with pytest.raises(ParseError):
             parse_assignment("A1 & A2")
+
+    def test_matches_the_token_stream_parser(self):
+        """Seeded token soup, half of it a mutated printed assignment: both
+        parsers return equal assignments or raise the same error at the
+        same place."""
+        rng = random.Random(1011)
+        parsed = 0
+        for _ in range(6_000):
+            if rng.random() < 0.5:
+                words = [rng.choice(_SOUP) for _ in range(rng.randint(0, 8))]
+            else:
+                mu = random_partial_assignment(rng, atom_pool(4), 0.6)
+                words = mutate_words(rng, str(mu).replace(",", " ,").split(), _SOUP)
+            text = rng.choice((" ", "", "\t")).join(words)
+            ours = outcome(parse_assignment, text)
+            assert ours == outcome(ref_parse_assignment, text), text
+            parsed += ours[0] == "returned"
+        assert 1000 < parsed < 5000
+
+
+_SOUP = ["A1", "A2", "B1", "!", ",", ".", "&", "(", "true", "false", "exists", "\n",
+         "\r\n", "\t", " ", "# c\n", "# c", "$"]
 
 
 class TestValueSemantics:

@@ -150,7 +150,7 @@ _SOUP = ["A1", "A2", "true", "false", "exists", "!", "&", "|", "->", "<->", "(",
 
 def _words(text):
     """The lexemes of text, in order."""
-    return [tok.text for tok in tokenize(text) if tok.kind != "EOF"]
+    return [word for kind, word, _ in tokenize(text) if kind != "EOF"]
 
 
 def _outcome(parser, text):

@@ -1,8 +1,10 @@
 """Validating vs entailing partial assignments and their decision procedures."""
+import collections
 import random
 
 import pytest
 
+from partialsat import partial_sat, semantics
 from partialsat import (
     Assignment,
     Atom,
@@ -28,10 +30,12 @@ from partialsat import (
 from gen import (
     atom_pool,
     equivalent_variant,
+    outcome,
     random_formula,
     random_partial_assignment,
     random_tautology_free_cnf,
 )
+from oracles import ref_verdict
 
 GAP = parse("(A1 & A2) | (A1 & !A2)")
 
@@ -259,3 +263,54 @@ class TestExtendToValidating:
             assert eta.restrict(mu.domain) == mu
             assert validates(eta, f)
         assert checked > 20
+
+
+class TestOneResidualPerCheck:
+    def test_verdict_matches_the_two_residual_verdict(self):
+        """Seeded (f, mu) pairs over 1-14 atoms with constants, on every
+        backend with random atom caps and branch budgets: equal verdicts,
+        witness included, or the same error."""
+        rng = random.Random(4010)
+        kinds = collections.Counter()
+        for _ in range(3_000):
+            pool = atom_pool(rng.randint(1, 14))
+            f = random_formula(rng, pool, max_depth=rng.randint(0, 7), const_chance=0.15)
+            mu = random_partial_assignment(rng, pool + atom_pool(2, "X"), rng.random() * 0.7)
+            args = (mu, f, rng.choice(("auto", "brute", "dpll")),
+                    rng.choice((None, rng.randint(0, 6))), rng.choice((None, rng.randint(0, 8))))
+            ours = outcome(verdict, *args)
+            assert ours == outcome(ref_verdict, *args), args
+            v = ours[1]
+            kinds[v if ours[0] == "error" else (v.validates, v.entails)] += 1
+        # validating, entailing only, neither, and a blown cap or budget
+        assert len(kinds) == 4 and min(kinds.values()) > 50
+
+    def test_the_residual_and_its_atoms_are_taken_once(self, monkeypatch):
+        taken = []
+
+        def counted(name, fn):
+            return lambda *args, **kwargs: taken.append(name) or fn(*args, **kwargs)
+
+        monkeypatch.setattr(partial_sat, "residual", counted("residual", residual))
+        monkeypatch.setattr(partial_sat, "atoms", counted("atoms", atoms))
+        monkeypatch.setattr(semantics, "atoms", counted("sweep atoms", atoms))
+        monkeypatch.setattr(partial_sat, "eval3", None)  # validation reads the residual
+        assert verdict(parse_assignment("A1"), GAP) == SatVerdict(False, True)
+        assert taken == ["residual", "atoms"]
+        taken.clear()
+        assert not verdict(parse_assignment("A1"), parse("(A1 | A2) & (A3 -> A4)")).entails
+        assert taken == ["residual", "atoms", "atoms"]  # atoms(f) for the witness only
+        taken.clear()
+        cnf = parse("(A1 | A2) & !A3")
+        assert cnf_equivalence_check(parse_assignment("A1, !A3"), cnf)
+        assert taken == ["residual"]
+        taken.clear()
+        monkeypatch.setattr(partial_sat, "residual",
+                            lambda f, mu: taken.append(f) or residual(f, mu))
+        assert extend_to_validating(parse_assignment("A1"), GAP) == parse_assignment("A1, A2")
+        assert taken.count(GAP) == 1  # then only residuals of the residual
+
+    def test_a_bad_backend_is_reported_before_the_residual_is_taken(self):
+        for check in (extend_to_validating, entails):
+            with pytest.raises(ValueError, match="backend"):
+                check(EMPTY_ASSIGNMENT, "not a formula", backend="bogus")

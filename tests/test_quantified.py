@@ -26,8 +26,9 @@ from partialsat import (
     shannon_expand,
     validates,
 )
-from gen import atom_pool, random_formula, random_partial_assignment
-from oracles import ref_exists_validates
+from gen import (atom_pool, mutate_words, outcome, random_formula, random_partial_assignment,
+                 random_tautology_free_cnf)
+from oracles import ref_exists_validates, ref_parse_existential, ref_tidy_disjunct
 from test_semantics import ref_eval, ref_rows
 
 CNF_OF_GAP = (
@@ -35,6 +36,8 @@ CNF_OF_GAP = (
     " & (!B2 | A1) & (!B2 | !A2) & (B2 | !A1 | A2)"
 )
 GAP_EXISTENTIAL = parse_existential(f"exists B1 B2 . {CNF_OF_GAP}")
+_SOUP = ["exists", "B1", "B2", "A1", ".", ",", "!", "&", "|", "->", "<->", "(", ")", "true",
+         "false", "\n", "\r\n", "\t", " ", "# c\n", "# c", "$"]
 
 
 class TestParseExistential:
@@ -65,6 +68,27 @@ class TestParseExistential:
     def test_missing_atom_list(self):
         with pytest.raises(ParseError, match="at least one atom"):
             parse_existential("exists . A1")
+
+    def test_matches_the_token_stream_parser(self):
+        """Seeded token soup, half of it a mutated printed existential
+        formula: both parsers return equal results or raise the same error
+        at the same place."""
+        rng = random.Random(1012)
+        parsed = 0
+        for _ in range(6_000):
+            if rng.random() < 0.5:
+                words = [rng.choice(_SOUP) for _ in range(rng.randint(0, 12))]
+            else:
+                f = random_formula(rng, atom_pool(3) + atom_pool(2, "B"), rng.randint(0, 4))
+                bound = " ".join(f"B{i}" for i in range(1, rng.randint(1, 3)))
+                text = f"exists {bound} . {f}" if bound else str(f)
+                words = mutate_words(rng, text.replace("(", "( ").replace(")", " )").split(),
+                                     _SOUP)
+            text = rng.choice((" ", "", "\t")).join(words)
+            ours = outcome(parse_existential, text)
+            assert ours == outcome(ref_parse_existential, text), text
+            parsed += ours[0] == "returned"
+        assert 1000 < parsed < 5000
 
     def test_missing_dot(self):
         with pytest.raises(ParseError, match=r"'\.'"):
@@ -110,6 +134,21 @@ class TestShannonExpand:
         assert shannon_expand(ef, expansion_cap=3) == parse("A1")
         with pytest.raises(ResourceLimitError):
             shannon_expand(ef, expansion_cap=2)
+
+    def test_tidying_matches_the_all_pairs_loop(self):
+        """Seeded CNF disjuncts over 3 atoms, rich in duplicate and subsumed
+        clauses, and some non-CNF ones: the same clauses kept in the same
+        order, and an untouched disjunct returned as itself."""
+        rng = random.Random(1013)
+        pool = atom_pool(3)
+        dropped = 0
+        for _ in range(1_500):
+            d = (random_formula(rng, pool, 3) if rng.random() < 0.1
+                 else random_tautology_free_cnf(rng, pool, max_clauses=8))
+            ours, theirs = quantified._tidy_disjunct(d), ref_tidy_disjunct(d)
+            assert str(ours) == str(theirs) and (ours is d) == (theirs is d), str(d)
+            dropped += ours is not d
+        assert 500 < dropped < 1_400
 
     def test_expansion_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("PARTIALSAT_EXPANSION_CAP", "2")
