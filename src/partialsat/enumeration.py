@@ -23,13 +23,12 @@ from .formula import (
     Not,
     Or,
     TRUE,
-    as_literal,
     atoms,
     fold,
     or_all,
 )
 from .record import Record
-from .semantics import _FOLD, _KEEP, _NEGATE, brute_equivalent, residual
+from .semantics import _FOLD, _KEEP, _NEGATE, brute_equivalent, residual, residual_least
 from . import limits
 
 
@@ -376,33 +375,42 @@ def _dpll_walk(f: Formula, budget: _Budget):
     least atom of the residual (true first), bind forced literals, record a
     branch when the residual folds to true, close on false.
 
-    Open branches wait on an explicit stack as (mu, r, decision); a
-    decision's residual is taken only when its branch is resumed, so depth
-    is not bounded by the recursion limit."""
-    branches: list = [(Assignment({}), f, None)]
+    Open branches wait on an explicit stack as (trail, r, least atom of r,
+    decision), so depth is not bounded by the recursion limit.  A step is
+    one `residual_least` pass binding one atom on the trail, None or
+    (trail, atom, value).  The input is branched on unfolded."""
+    branches: list = [(None, f, min(atoms(f), default=None), None)]
     while branches:
-        mu, r, decision = branches.pop()
-        if decision is not None:
-            atom, value = decision
-            mu, r = mu.bind(atom, value), residual(r, Assignment({atom: value}))
+        trail, r, least, decision = branches.pop()
         while True:
-            if r == TRUE:
-                yield mu
+            if decision is not None:
+                atom, value = decision
+                trail = (trail, atom, value)
+                r, least = residual_least(r, {atom.name: value})
+            kind = type(r)
+            if kind is Const:
+                if r.value:
+                    yield _trail_assignment(trail)
                 break
-            if r == FALSE:
-                break
-            lit = as_literal(r)
-            if lit is None:
-                r_atoms = atoms(r)
-                if not r_atoms:  # an atom-free input that is not yet folded
-                    r = residual(r, mu)
-                    continue
+            if kind is AtomRef:
+                decision = (r.atom, True)
+            elif kind is Not and type(r.arg) is AtomRef:
+                decision = (r.arg.atom, False)
+            elif least is None:  # an atom-free input that is not yet folded
+                r, decision = residual(r, Assignment()), None
+            else:
                 budget.spend()
-                atom = min(r_atoms)
-                branches += ((mu, r, (atom, False)), (mu, r, (atom, True)))
+                branches += ((trail, r, least, (least, False)), (trail, r, least, (least, True)))
                 break
-            mu = mu.bind(lit.atom, lit.positive)
-            r = residual(r, Assignment({lit.atom: lit.positive}))
+
+
+def _trail_assignment(trail) -> Assignment:
+    """The bindings on a trail, in the order they were made."""
+    bound = []
+    while trail is not None:
+        trail, atom, value = trail
+        bound.append((atom, value))
+    return Assignment(dict(reversed(bound)))
 
 
 def dpll_enumerate(f: Formula, branch_budget: int | None = None) -> EnumResult:

@@ -71,8 +71,9 @@ def _entails_with_witness(
     rho = None
     if r is not FALSE:
         found = atoms(r)
-        if backend == "brute" or backend == "auto" and len(found) <= limits.max_atoms(atom_cap):
-            rho = first_falsifying(r, atom_cap, _atoms=found)
+        cap = None if backend == "dpll" else limits.max_atoms(atom_cap)  # read once
+        if backend == "brute" or backend == "auto" and len(found) <= cap:
+            rho = first_falsifying(r, cap, _atoms=found)
         else:
             # a validating cube of ¬r binds only atoms of r and falsifies r
             negated = r.arg if isinstance(r, Not) else Not(r)

@@ -26,6 +26,7 @@ from .formula import (
 from .enumeration import EnumResult
 from .quantified import (
     ExistentialFormula,
+    _check_quantified_cap,
     exists_entails,
     exists_validates,
     shannon_expand,
@@ -109,6 +110,15 @@ def enumerate_abstraction(
     mode's check (exists-validates or exists-entails), and otherwise forces
     failed literals before splitting on the next unassigned label.
     """
+    ef, cubes = _label_cubes(p, mode, expansion_cap, atom_cap)
+    return EnumResult("dpll", mode, shannon_expand(ef, expansion_cap), cubes)
+
+
+def _label_cubes(p: PredAbsProblem, mode: str, expansion_cap: int | None,
+                 atom_cap: int | None) -> tuple[ExistentialFormula, tuple[Assignment, ...]]:
+    """The existential formula of p and its label cubes in `mode`, the
+    expansion cap checked last, where `enumerate_abstraction` expands: an
+    unsatisfiable matrix reaches no leaf test, which checks it too."""
     if mode not in ("validating", "entailing"):
         raise ValueError(f"unknown enumeration mode: {mode!r}")
     ef = to_existential(p)
@@ -139,13 +149,9 @@ def enumerate_abstraction(
             continue
         assert free, "a total open cube must pass its leaf test"
         cubes += (mu.bind(free[0], False), mu.bind(free[0], True))
-
-    return EnumResult(
-        engine="dpll",
-        mode=mode,
-        formula=shannon_expand(ef, expansion_cap),
-        assignments=tuple(collected),
-    )
+    if ef.quantified:
+        _check_quantified_cap(len(ef.quantified), expansion_cap)
+    return ef, tuple(collected)
 
 
 def compare_modes(
@@ -154,19 +160,14 @@ def compare_modes(
     atom_cap: int | None = None,
 ) -> ModeComparison:
     """Run both modes and report how much smaller the entailing result is."""
-    validating = enumerate_abstraction(p, "validating", expansion_cap, atom_cap)
-    entailing = enumerate_abstraction(p, "entailing", expansion_cap, atom_cap)
-    equivalent = brute_equivalent(
-        or_all([mu.to_cube() for mu in validating.assignments]),
-        or_all([mu.to_cube() for mu in entailing.assignments]),
-        atom_cap,
-    )
+    _, validating = _label_cubes(p, "validating", expansion_cap, atom_cap)
+    _, entailing = _label_cubes(p, "entailing", expansion_cap, atom_cap)
+    equivalent = brute_equivalent(*(or_all([mu.to_cube() for mu in cubes])
+                                    for cubes in (validating, entailing)), atom_cap)
     return ModeComparison(
-        cube_count_validating=len(validating.assignments),
-        cube_count_entailing=len(entailing.assignments),
-        total_literals_validating=sum(
-            len(mu) for mu in validating.assignments
-        ),
-        total_literals_entailing=sum(len(mu) for mu in entailing.assignments),
+        cube_count_validating=len(validating),
+        cube_count_entailing=len(entailing),
+        total_literals_validating=sum(len(mu) for mu in validating),
+        total_literals_entailing=sum(len(mu) for mu in entailing),
         equivalent=equivalent,
     )

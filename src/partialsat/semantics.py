@@ -1,11 +1,11 @@
 """Residuals, three-valued evaluation, total-assignment satisfaction, and
 brute-force validity/equivalence oracles.
 
-One walker evaluates under one partial assignment: residual substitutes
-bound atoms and propagates constants through the connectives, nothing more
-(no simplification of e.g. A | A, which would silently change validation
-outcomes).  eval3, which treats unbound atoms as unknown (U), is its
-projection: T iff the residual is `true`, F iff it is `false`.
+One walker evaluates under one partial assignment: residual_least
+substitutes bound atoms and propagates constants through the connectives,
+nothing more (no simplification of e.g. A | A, which would silently change
+validation outcomes).  residual and eval3, which treats unbound atoms as
+unknown (U), are its projections: T iff the residual is `true`, F iff `false`.
 
 One kernel evaluates a formula on every row of a sweep at once, for both
 notions: an interval table, one Python int with the rows where it is
@@ -66,23 +66,29 @@ _FOLD = {
 
 def residual(f: Formula, mu: Assignment) -> Formula:
     """The residual f|mu: bound atoms replaced by constants, which are then
-    propagated through the connectives exhaustively bottom-up.
+    propagated through the connectives exhaustively bottom-up, so it has no
+    bound atom, and a constant only when it is itself `true` or `false`."""
+    return residual_least(f, {a.name: v for a, v in mu._bindings.items()})[0]
 
-    The result contains no bound atom, and contains a constant only when it
-    is itself `true` or `false`.  Iterative, so depth is not bounded by the
-    recursion limit.  A right operand is skipped once the left residual
-    decides the node (`false` under & and ->, `true` under |), and a node
-    whose operands come back unchanged is returned itself, not rebuilt.
-    """
-    value = mu.value
+
+def residual_least(f: Formula, value: dict[str, bool]) -> tuple[Formula, Atom | None]:
+    """The residual of f under the atoms bound by name in `value`, with its
+    least atom by name (None for a constant), kept per operand on a stack
+    beside the values, so an operand folded away never gives one.  Iterative,
+    so depth is not bounded by the recursion limit; a right operand is skipped
+    once the left residual decides the node (`false` under & and ->, `true`
+    under |), and a node whose operands come back unchanged is not rebuilt."""
+    get = value.get
     values: list[Formula] = []
+    least: list = []
     todo: list = [f]
     while todo:
         node = todo.pop()
         kind = type(node)
         if kind is AtomRef:
-            v = value(node.atom)
+            v = get(node.atom.name)
             values.append(node if v is None else TRUE if v else FALSE)
+            least.append(node.atom if v is None else None)
         elif kind is tuple:  # (node, its right operand or None), operands on top
             node, right = node
             kind = type(node)
@@ -95,35 +101,39 @@ def residual(f: Formula, mu: Assignment) -> Formula:
                     todo += ((node, None), right)
                 continue
             if kind is Not:
-                rule, other = _NEGATE, values[-1]
+                rule, other, low = _NEGATE, values[-1], least[-1]
             else:
-                b = values.pop()
+                b, low = values.pop(), least.pop()
                 a = values[-1]
                 if a is TRUE or a is FALSE:
                     rule, other = _FOLD[kind][a is FALSE], b
                 elif b is TRUE or b is FALSE:
-                    rule, other = _FOLD[kind][2 + (b is FALSE)], a
+                    rule, other, low = _FOLD[kind][2 + (b is FALSE)], a, least[-1]
                 else:
                     same = a is node.left and b is node.right
                     values[-1] = node if same else kind(a, b)
+                    if low.name < least[-1].name:
+                        least[-1] = low
                     continue
             if rule is _KEEP:
                 values[-1] = other
             elif rule is not _NEGATE:
-                values[-1] = rule
+                values[-1], low = rule, None
             elif other is TRUE or other is FALSE:
                 values[-1] = FALSE if other is TRUE else TRUE
             else:
                 values[-1] = node if kind is Not and other is node.arg else Not(other)
+            least[-1] = low  # None when values[-1] is a constant
         elif kind in _FOLD:
             todo += ((node, node.right), node.left)
         elif kind is Not:
             todo += ((node, None), node.arg)
         elif kind is Const:
             values.append(TRUE if node.value else FALSE)
+            least.append(None)
         else:
             raise TypeError(f"not a formula: {node!r}")
-    return values[0]
+    return values[0], least[0]
 
 
 def eval3(f: Formula, mu: Assignment) -> TruthValue3:

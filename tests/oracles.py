@@ -6,7 +6,8 @@ corpora shallow enough for the interpreter stack.  The validation sweeps
 call `validates` or `eval3` once per delta, as the lifted checks did
 before they read a single interval table.  The OBDD build and walks
 recurse once per diagram level, with `apply`'s terminal cases written out
-as a ladder of their own.  The lexer builds one `Token` record per token
+as a ladder of their own.  `ref_residual` is the iterative residual as it
+was before it looked atoms up by name and tracked the least one.  The lexer builds one `Token` record per token
 with its line and column, and the parsers read it through a `TokenStream`,
 as they did before the lexer yielded bare tuples; `ref_verdict` takes the
 residual once for validation and again for entailment, and
@@ -54,6 +55,7 @@ from partialsat.enumeration import Obdd, _Budget
 from partialsat.formula import StructureReport, _cnf_literals, cnf_clauses, cube_literals, fold
 from partialsat.partial_sat import _entails_with_witness
 from partialsat.quantified import ExistentialFormula
+from partialsat.semantics import _FOLD, _KEEP, _NEGATE
 from partialsat.record import Record
 from partialsat import limits, predabs
 
@@ -240,6 +242,63 @@ def ref_tidy_disjunct(d):
                    for j, other in enumerate(literal_sets) if j != i):
             kept.append(clause)
     return d if len(kept) == len(pairs) else and_all(kept)
+
+
+# -------------------------------------------------------------- residual
+
+def ref_residual(f, mu):
+    """`residual` as it was before it tracked the least atom: bound atoms
+    looked up through `Assignment.value`, one stack of values."""
+    value = mu.value
+    values = []
+    todo = [f]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is AtomRef:
+            v = value(node.atom)
+            values.append(node if v is None else TRUE if v else FALSE)
+        elif kind is tuple:  # (node, its right operand or None), operands on top
+            node, right = node
+            kind = type(node)
+            if right is not None:  # only the left residual is in
+                a = values[-1]
+                rule = _FOLD[kind][a is FALSE] if a is TRUE or a is FALSE else None
+                if type(rule) is Const:
+                    values[-1] = rule
+                else:
+                    todo += ((node, None), right)
+                continue
+            if kind is Not:
+                rule, other = _NEGATE, values[-1]
+            else:
+                b = values.pop()
+                a = values[-1]
+                if a is TRUE or a is FALSE:
+                    rule, other = _FOLD[kind][a is FALSE], b
+                elif b is TRUE or b is FALSE:
+                    rule, other = _FOLD[kind][2 + (b is FALSE)], a
+                else:
+                    same = a is node.left and b is node.right
+                    values[-1] = node if same else kind(a, b)
+                    continue
+            if rule is _KEEP:
+                values[-1] = other
+            elif rule is not _NEGATE:
+                values[-1] = rule
+            elif other is TRUE or other is FALSE:
+                values[-1] = FALSE if other is TRUE else TRUE
+            else:
+                values[-1] = node if kind is Not and other is node.arg else Not(other)
+        elif kind in _FOLD:
+            todo += ((node, node.right), node.left)
+        elif kind is Not:
+            todo += ((node, None), node.arg)
+        elif kind is Const:
+            values.append(TRUE if node.value else FALSE)
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+    return values[0]
 
 
 # --------------------------------------------------------------- verdict

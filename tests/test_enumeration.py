@@ -6,11 +6,13 @@ import pytest
 from partialsat import (
     Assignment,
     Atom,
+    AtomRef,
     EnumResult,
     FALSE,
     Not,
     ResourceLimitError,
     TRUE,
+    and_all,
     atoms,
     brute_equivalent,
     build_obdd,
@@ -19,6 +21,7 @@ from partialsat import (
     entails,
     obdd_enumerate,
     obdd_to_formula,
+    or_all,
     parse,
     parse_assignment,
     tableaux_enumerate,
@@ -27,6 +30,7 @@ from partialsat import (
 )
 from partialsat import enumeration
 from partialsat.enumeration import _Budget, _dpll_walk
+from partialsat.formula import as_literal
 from gen import atom_pool, equivalent_variant, random_formula
 import oracles
 from oracles import (
@@ -53,7 +57,7 @@ def ref_dpll_walk(f, budget):
                 return
             if r == FALSE:
                 return
-            lit = enumeration.as_literal(r)
+            lit = as_literal(r)
             if lit is None:
                 break
             mu = mu.bind(lit.atom, lit.positive)
@@ -66,6 +70,18 @@ def ref_dpll_walk(f, budget):
             )
 
     yield from rec(Assignment({}), f)
+
+
+def _count_passes(monkeypatch):
+    """A list that grows by one per residual pass through `enumeration`: a
+    `residual` call (the reference's steps) or a `residual_least` call (the
+    walker's)."""
+    calls = []
+    for name in ("residual", "residual_least"):
+        real = getattr(enumeration, name)
+        monkeypatch.setattr(enumeration, name,
+                            lambda f, mu, real=real: calls.append(1) or real(f, mu))
+    return calls
 
 
 def _reachable(bdd):
@@ -399,12 +415,10 @@ class TestDpllEnumerate:
         assert dpll_first_assignment(parse("A1 & !A1")) is None
 
     def test_matches_recursive_walker(self, monkeypatch):
-        """Same cubes in the same order, the same branches spent, and the
-        same residual calls, also when only the first cube is taken."""
-        calls = []
-        real = enumeration.residual
-        monkeypatch.setattr(enumeration, "residual",
-                            lambda f, mu: calls.append(1) or real(f, mu))
+        """Same cubes in the same order, the same branches spent, and one
+        walker pass per residual the reference takes, also when only the
+        first cube is taken."""
+        calls = _count_passes(monkeypatch)
 
         def run(walk, f, first):
             calls.clear()
@@ -431,6 +445,63 @@ class TestDpllEnumerate:
                 else:
                     listing = (None,) if first else ()
                 assert run(_dpll_walk, f, first) == (listing, 0, 1)
+
+    def test_matches_recursive_walker_at_12_to_14_atoms(self, monkeypatch):
+        """Cubes (with their bindings in the order they were made), their
+        order, branches and passes as the reference, and a blown budget at
+        the same branch after the same cubes."""
+        calls = _count_passes(monkeypatch)
+
+        def run(walk, f, limit):
+            calls.clear()
+            budget = _Budget(limit, "DPLL branching")
+            cubes = []
+            try:
+                cubes.extend(list(mu._bindings.items()) for mu in walk(f, budget))
+            except ResourceLimitError as exc:
+                return cubes, budget.used, len(calls), str(exc)
+            return cubes, budget.used, len(calls)
+
+        rng = random.Random(7011)
+        pool = atom_pool(14)
+        outcomes = []
+        while len(outcomes) < 60:
+            f = random_formula(rng, pool, max_depth=8, const_chance=0.1)
+            if not 12 <= len(atoms(f)) <= 14:
+                continue
+            limit = rng.choice((10_000, rng.randint(0, 60)))
+            got = run(_dpll_walk, f, limit)
+            assert got == run(ref_dpll_walk, f, limit), str(f)
+            outcomes.append(len(got))
+        assert set(outcomes) == {3, 4}  # both finished and blown searches
+
+    @pytest.mark.parametrize("text,cubes,branches", [
+        ("A1 & true", ["A1"], 1),
+        ("(A1 | true) & A2", ["A1, A2", "!A1, A2"], 1),
+    ])
+    def test_the_input_is_branched_on_unfolded(self, text, cubes, branches):
+        f = parse(text)
+        for walk in (_dpll_walk, ref_dpll_walk):
+            budget = _Budget(10, "DPLL branching")
+            assert [str(mu) for mu in walk(f, budget)] == cubes
+            assert budget.used == branches
+
+    def test_first_assignment_refutes_unsat_3cnf(self, monkeypatch):
+        """The refutation behind `entails`: no cube, after the reference's
+        branches and passes."""
+        calls = _count_passes(monkeypatch)
+        rng = random.Random(7012)
+        pool = atom_pool(11)
+        for _ in range(3):
+            f = and_all(or_all(AtomRef(a) if rng.random() < 0.5 else Not(AtomRef(a))
+                               for a in rng.sample(pool, 3)) for _ in range(70))
+            runs = []
+            for walk in (_dpll_walk, ref_dpll_walk):
+                calls.clear()
+                budget = _Budget(10_000, "DPLL branching")
+                runs.append((next(walk(f, budget), None), budget.used, len(calls)))
+            assert runs[0] == runs[1] and runs[0][0] is None and runs[0][1] > 0
+            assert dpll_first_assignment(f) is None
 
     def test_more_atoms_than_the_recursion_limit(self):
         f = parse(" & ".join(f"A{i}" for i in range(1200)))

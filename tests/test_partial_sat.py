@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from partialsat import partial_sat, semantics
+from partialsat import limits, partial_sat, semantics
 from partialsat import (
     Assignment,
     Atom,
@@ -309,6 +309,19 @@ class TestOneResidualPerCheck:
                             lambda f, mu: taken.append(f) or residual(f, mu))
         assert extend_to_validating(parse_assignment("A1"), GAP) == parse_assignment("A1, A2")
         assert taken.count(GAP) == 1  # then only residuals of the residual
+
+    def test_the_atom_cap_is_read_once_per_check(self, monkeypatch):
+        reads = []
+        real = limits._from_env
+        monkeypatch.setattr(limits, "_from_env",
+                            lambda name, default: reads.append(name) or real(name, default))
+        for f in (GAP, parse("(A1 | A2) & (A3 -> A4)")):
+            reads.clear()
+            verdict(parse_assignment("A1"), f)
+            assert reads == ["MAX_ATOMS"]
+        reads.clear()
+        entails(parse_assignment("A1"), GAP, backend="dpll")
+        assert reads == ["BRANCH_BUDGET"]
 
     def test_a_bad_backend_is_reported_before_the_residual_is_taken(self):
         for check in (extend_to_validating, entails):

@@ -163,6 +163,13 @@ class TestDegenerateProblems:
     def test_expansion_cap(self):
         with pytest.raises(ResourceLimitError):
             enumerate_abstraction(ABSTRACTION, "validating", expansion_cap=1)
+        # an unsatisfiable matrix reaches no leaf test, which checks the cap
+        p = PredAbsProblem(base=parse("B1 & !B1 & B2"), predicates=((Atom("P1"), parse("B1")),))
+        for run in (lambda: enumerate_abstraction(p, "validating", expansion_cap=1),
+                    lambda: compare_modes(p, expansion_cap=1)):
+            with pytest.raises(ResourceLimitError):
+                run()
+        assert compare_modes(p, expansion_cap=2) == ModeComparison(0, 0, 0, 0, True)
 
 
 class TestRandomProblems:

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from partialsat import semantics
+from partialsat.semantics import residual_least
 from partialsat import (
     And,
     Assignment,
@@ -37,6 +38,7 @@ from partialsat import (
     validates,
 )
 from gen import atom_pool, equivalent_variant, random_formula, random_partial_assignment
+import oracles
 
 T, U, F = TruthValue3.T, TruthValue3.U, TruthValue3.F
 P, Q = Atom("P"), Atom("Q")
@@ -301,6 +303,22 @@ def _node_kinds(f):
     return found
 
 
+def _kept(r, f):
+    """The ids of r's nodes in pre-order, None for each that is not a node
+    of f."""
+    stack, ids = [f], set()
+    while stack:
+        node = stack.pop()
+        ids.add(id(node))
+        stack += [getattr(node, k) for k in ("arg", "left", "right") if hasattr(node, k)]
+    kept, stack = [], [r]
+    while stack:
+        node = stack.pop()
+        kept.append(id(node) if id(node) in ids else None)
+        stack += [getattr(node, k) for k in ("arg", "left", "right") if hasattr(node, k)]
+    return kept
+
+
 class TestWalkerAgainstRecursiveOracles:
     def test_residual_and_eval3_match_on_seeded_pairs(self):
         rng = random.Random(3101)
@@ -316,6 +334,34 @@ class TestWalkerAgainstRecursiveOracles:
             outcomes.add(v)
         assert seen == {"fresh Const", AtomRef, Not, And, Or, Implies, Iff}
         assert outcomes == {T, U, F}
+
+    def test_residual_least_matches_the_reference_walker(self):
+        """The residual of the walker before it tracked atoms, sharing the
+        same nodes of f, with its least atom, or None for a constant.
+        Atoms are looked up by name, so every other formula is reparsed:
+        its Atom objects are not mu's."""
+        rng = random.Random(3102)
+        leasts = set()
+        for i in range(2000):
+            pool = atom_pool(rng.randint(1, 8))
+            f = random_formula(rng, pool, max_depth=rng.randint(0, 7), const_chance=0.2)
+            mu = random_partial_assignment(rng, pool)
+            if i % 2:
+                f = parse(str(f))
+            r, least = residual_least(f, {a.name: v for a, v in mu._bindings.items()})
+            ref = oracles.ref_residual(f, mu)
+            assert r == ref and _kept(r, f) == _kept(ref, f)
+            assert least == (None if type(r) is Const else min(atoms(r)))
+            leasts.add(least is None)
+        assert leasts == {True, False}
+
+    def test_an_operand_folded_away_gives_no_least_atom(self):
+        f = parse("A1 & B2 | C3")
+        r, least = residual_least(f, {"B2": False})
+        assert r is f.right and least is f.right.atom
+        assert residual(f, Assignment({Atom("B2"): False})) is f.right
+        assert residual_least(f, {})[1].name == "A1"
+        assert residual_least(f, {"C3": True}) == (TRUE, None)
 
     def test_unbound_formula_is_returned_not_rebuilt(self):
         f = parse("!(A1 -> A2) <-> (A3 | !!A4) & A5")
