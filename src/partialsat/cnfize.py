@@ -10,7 +10,9 @@ delta to exhibit exactly that gap.
 """
 from __future__ import annotations
 
-from .assignment import Assignment, total_assignments
+from itertools import count
+
+from .assignment import EMPTY_ASSIGNMENT, Assignment, total_assignments
 from .errors import ResourceLimitError
 from .formula import (
     And,
@@ -27,11 +29,11 @@ from .formula import (
     _cnf_literals,
     and_all,
     atoms,
-    classify,
     cnf_clauses,
     fold,
     is_literal,
 )
+from .formula import classify  # noqa: F401 (perfbench wraps it)
 from .partial_sat import _entails_with_witness, entails, validates
 from .record import Record
 from .semantics import TruthValue3, eval3_sweep, residual
@@ -39,7 +41,10 @@ from .semantics import eval3  # noqa: F401 (perfbench wraps it)
 from .semantics import brute_satisfiable  # noqa: F401 (perfbench wraps it)
 from . import limits
 
-_BINARY_TYPES = (And, Or, Implies, Iff)
+# The shape of a binary node's position, from its connective and its
+# parent's: 0 under `&`s only, 1 under `&`s then `|`s, 2 anywhere else,
+# which breaks CNF (so does anything under a `!`).
+_SHAPE = {And: (0, 2, 2), Or: (1, 1, 2), Implies: (2, 2, 2), Iff: (2, 2, 2)}
 _VALIDATION_OUTCOME = {TruthValue3.T: "validated", TruthValue3.U: "undetermined",
                        TruthValue3.F: "falsified"}
 
@@ -83,18 +88,12 @@ def _collapse_double_negation(node: Formula, a: Formula, b: Formula | None = Non
     return type(node)(a, b)
 
 
-def _negate_literal(lit: Formula) -> Formula:
-    if isinstance(lit, Not):
-        return lit.arg
-    return Not(lit)
-
-
 def _definition_clauses(fresh: Atom, definition: Formula) -> list[Formula]:
     """CNF of fresh <-> (l1 op l2), negative-occurrence clauses first."""
     b = AtomRef(fresh)
     nb = Not(b)
     l1, l2 = definition.left, definition.right
-    n1, n2 = _negate_literal(l1), _negate_literal(l2)
+    n1, n2 = (lit.arg if type(lit) is Not else Not(lit) for lit in (l1, l2))
     if isinstance(definition, And):
         return [Or(nb, l1), Or(nb, l2), Or(Or(b, n1), n2)]
     if isinstance(definition, Or):
@@ -110,73 +109,70 @@ def _definition_clauses(fresh: Atom, definition: Formula) -> list[Formula]:
     ]
 
 
-def _labelable_occurrences(f: Formula) -> list[tuple[int, int, Formula]]:
-    """All binary-connective-over-literals subformulas as
-    (depth, preorder index, node)."""
-    found: list[tuple[int, int, Formula]] = []
-    todo = [(f, 0)]
-    index = 0
-    while todo:
-        node, depth = todo.pop()
-        index += 1
-        if isinstance(node, Not):
-            todo.append((node.arg, depth + 1))
-        elif isinstance(node, _BINARY_TYPES):
-            if is_literal(node.left) and is_literal(node.right):
-                found.append((depth, index, node))
-            todo += ((node.right, depth + 1), (node.left, depth + 1))
-    return found
-
-
-def _substitute(f: Formula, target: Formula, replacement: Formula) -> Formula:
-    """f with every occurrence of the binary node `target` replaced.  A node
-    whose operands come back unchanged is kept, not rebuilt; only such a
-    node can equal the target, which cannot contain itself."""
-    def swap(node: Formula, a: Formula, b: Formula | None = None) -> Formula:
-        if type(node) is Not:
-            return node if a is node.arg else Not(a)
-        if a is node.left and b is node.right:
-            return replacement if type(node) is type(target) and node == target else node
-        return type(node)(a, b)
-
-    return fold(f, swap)
+def _operand_key(x: Formula, number: dict[int, int]):
+    """An operand in a node's form: a literal by its printed form, a
+    numbered node by its number (~number under a `Not`)."""
+    if type(x) is AtomRef:
+        return x.atom.name
+    if type(x) is Not:
+        return "!" + x.arg.atom.name if type(x.arg) is AtomRef else ~number[id(x.arg)]
+    return number[id(x)]
 
 
 def tseitin(f: Formula) -> TseitinResult:
-    """Rewrite f into CNF by labeling innermost literal-over-literal
-    connectives with fresh atoms, bottom-up (deepest first, ties leftmost).
+    """Rewrite f into CNF by labelling binary connectives with fresh atoms,
+    deepest first and ties leftmost, equal subformulas sharing one label,
+    until what is left is CNF.
 
     Constants are folded and double negations collapsed first; a formula
     that is already a literal or constant passes through unchanged.  Fresh
     atoms are named B1, B2, ... skipping names the input already uses.
     """
-    g = fold(residual(f, Assignment({})), _collapse_double_negation)
+    g = fold(residual(f, EMPTY_ASSIGNMENT), _collapse_double_negation)
     if isinstance(g, Const) or is_literal(g):
         return TseitinResult(cnf=g, fresh_atoms=(), definitions=())
+    levels: dict[int, list] = {}  # depth -> (binary node, breaks CNF), in preorder
+    todo = [(g, 0, 0)]
+    while todo:
+        node, depth, shape = todo.pop()
+        kind = type(node)
+        if kind is Not:
+            todo.append((node.arg, depth + 1, 2))
+        elif kind in _SHAPE:
+            shape = _SHAPE[kind][shape]
+            levels.setdefault(depth, []).append((node, shape == 2))
+            todo += ((node.right, depth + 1, shape), (node.left, depth + 1, shape))
+    # Number the distinct forms in labelling order; every form up to the
+    # last one that sits where CNF does not allow it gets a label.
+    number: dict[int, int] = {}  # id(node) -> the number of its form
+    forms: dict[tuple, int] = {}
+    last = -1
+    for depth in sorted(levels, reverse=True):
+        for node, breaks in levels[depth]:
+            form = (type(node), _operand_key(node.left, number), _operand_key(node.right, number))
+            n = number[id(node)] = forms.setdefault(form, len(forms))
+            if breaks and n > last:
+                last = n
     used = {a.name for a in atoms(g)}
-    fresh_list: list[Atom] = []
-    definitions: list[tuple[Atom, Formula]] = []
-    counter = 1
-    while not classify(g).is_cnf:
-        occurrences = _labelable_occurrences(g)
-        assert occurrences, "non-CNF formula must contain a labelable node"
-        _, _, target = max(occurrences, key=lambda t: (t[0], -t[1]))
-        while f"B{counter}" in used:
-            counter += 1
-        fresh = Atom(f"B{counter}")
-        used.add(fresh.name)
-        fresh_list.append(fresh)
-        definitions.append((fresh, target))
-        g = _substitute(g, target, AtomRef(fresh))
-    clauses = cnf_clauses(g)
+    names = (f"B{i}" for i in count(1) if f"B{i}" not in used)
+    fresh = tuple(Atom(next(names)) for _ in range(last + 1))
+    definitions: list = [None] * len(fresh)
+
+    def label(node: Formula, a: Formula, b: Formula | None = None) -> Formula:
+        if type(node) is Not:
+            return node if a is node.arg else Not(a)
+        n = number[id(node)]
+        if n > last:
+            return node if a is node.left and b is node.right else type(node)(a, b)
+        definitions[n] = (fresh[n], type(node)(a, b))
+        return AtomRef(fresh[n])
+
+    clauses = cnf_clauses(fold(g, label) if fresh else g)
     assert clauses is not None
-    for fresh, definition in definitions:
-        clauses.extend(_definition_clauses(fresh, definition))
-    return TseitinResult(
-        cnf=and_all(clauses),
-        fresh_atoms=tuple(fresh_list),
-        definitions=tuple(definitions),
-    )
+    for atom, definition in definitions:
+        clauses.extend(_definition_clauses(atom, definition))
+    return TseitinResult(cnf=and_all(clauses), fresh_atoms=fresh,
+                         definitions=tuple(definitions))
 
 
 def strip_tautologies(f: Formula) -> Formula:
@@ -189,7 +185,7 @@ def strip_tautologies(f: Formula) -> Formula:
         raise ValueError("formula is not in CNF")
     kept: list[Formula] = []
     for clause, lits in pairs:
-        signed = {(lit.atom, lit.positive) for lit in lits}
+        signed = {(lit.atom.name, lit.positive) for lit in lits}
         if any((atom, not pos) in signed for atom, pos in signed):
             continue
         kept.append(clause)
@@ -262,14 +258,15 @@ def check_entailment_loss(
     recovered = False
     for delta in _fresh_sweep(result.fresh_atoms, sweep_cap):
         extended = mu.union(delta)
+        r = residual(result.cnf, extended)  # one walk of the CNF per delta
         ok, witness = _entails_with_witness(
-            extended, result.cnf, atom_cap=atom_cap, branch_budget=branch_budget
+            extended, result.cnf, atom_cap=atom_cap, branch_budget=branch_budget, r=r
         )
         if ok:
             outcome = "entailed"
             recovered = True
         else:
-            unsat = entails(extended, Not(result.cnf), atom_cap=atom_cap,
+            unsat = entails(EMPTY_ASSIGNMENT, Not(r), atom_cap=atom_cap,
                             branch_budget=branch_budget)
             outcome = "inconsistent" if unsat else "falsified"
         cases.append(LossCase(delta=delta, outcome=outcome, witness=witness))
@@ -293,17 +290,15 @@ def to_dimacs(f: Formula) -> str:
     pairs = _cnf_literals(f)
     if pairs is None:
         raise ValueError("formula is not in CNF")
-    numbering: dict[Atom, int] = {}
+    numbering: dict[str, int] = {}  # by atom name, as an Atom's hash runs Python code
     rows: list[list[int]] = []
     for _, lits in pairs:
         row = []
         for lit in lits:
-            if lit.atom not in numbering:
-                numbering[lit.atom] = len(numbering) + 1
-            code = numbering[lit.atom]
+            code = numbering.setdefault(lit.atom.name, len(numbering) + 1)
             row.append(code if lit.positive else -code)
         rows.append(row)
-    lines = [f"c {idx} {atom.name}" for atom, idx in numbering.items()]
+    lines = [f"c {idx} {name}" for name, idx in numbering.items()]
     lines.append(f"p cnf {len(numbering)} {len(rows)}")
     lines.extend(" ".join(str(v) for v in row) + " 0" for row in rows)
     return "\n".join(lines) + "\n"

@@ -3,14 +3,20 @@ import random
 
 import pytest
 
-from partialsat import semantics
+from partialsat import cnfize, partial_sat, semantics
 from partialsat import (
+    And,
     Assignment,
     Atom,
     EMPTY_ASSIGNMENT,
     FALSE,
+    Iff,
+    Implies,
+    Not,
+    Or,
     ResourceLimitError,
     TRUE,
+    and_all,
     atoms,
     check_entailment_loss,
     check_validation_loss,
@@ -155,6 +161,73 @@ class TestTseitinProperties:
             assert result.cnf == expected.cnf
             assert result.fresh_atoms == expected.fresh_atoms
             assert result.definitions == expected.definitions
+
+    def test_small_pools_match_the_reference(self):
+        """Over 1-3 atoms equal subformulas recur at different depths, so
+        labels are shared between levels."""
+        rng = random.Random(5006)
+        shared = 0
+        for _ in range(1500):
+            f = random_formula(rng, atom_pool(rng.randint(1, 3)), max_depth=rng.randint(2, 8),
+                               const_chance=0.05)
+            result, expected = tseitin(f), ref_tseitin(f)
+            assert (result.cnf, result.fresh_atoms, result.definitions) == (
+                expected.cnf, expected.fresh_atoms, expected.definitions)
+            depths = _depths_by_subformula(f)
+            shared += any(len(depths.get(str(d), ())) > 1 for _, d in result.definitions)
+        assert shared > 100
+
+    def test_shared_node_objects_match_the_reference(self):
+        rng = random.Random(5007)
+        for _ in range(500):
+            parts = [random_formula(rng, atom_pool(3), max_depth=rng.randint(0, 3))
+                     for _ in range(3)]
+            for _ in range(rng.randint(2, 6)):
+                kind = rng.choice((And, Or, Implies, Iff, Not))
+                a, b = rng.choice(parts), rng.choice(parts)
+                parts.append(Not(a) if kind is Not else kind(a, b))
+            result, expected = tseitin(parts[-1]), ref_tseitin(parts[-1])
+            assert (result.cnf, result.fresh_atoms, result.definitions) == (
+                expected.cnf, expected.fresh_atoms, expected.definitions)
+        node = parse("A1 & A2")
+        result = tseitin(Or(node, Implies(node, parse("A3"))))
+        assert str(cnf_clauses(result.cnf)[0]) == "B1 | B2"
+        assert result.definitions == ((Atom("B1"), node), (Atom("B2"), parse("B1 -> A3")))
+        assert result == ref_tseitin(parse("(A1 & A2) | ((A1 & A2) -> A3)"))
+
+    def test_a_twin_left_in_cnf_position_takes_the_label(self):
+        """The right `A4 | A3` is never labelled itself: it already sits
+        where CNF allows it, but its twin under `<->` got B1."""
+        f = parse("((A4 | A3) <-> (A2 <-> A3)) | (A4 | A3)")
+        result = tseitin(f)
+        assert str(cnf_clauses(result.cnf)[0]) == "B3 | B1"
+        assert [str(d) for _, d in result.definitions] == ["A4 | A3", "A2 <-> A3", "B1 <-> B2"]
+        assert result == ref_tseitin(f)
+
+    def test_labelling_stops_once_a_twin_clears_the_last_break(self):
+        """Labelling the deeper `A1 | A2` also clears the one under `!`, so
+        `D | B1`, which comes before it in the order, keeps no label."""
+        f = parse("(C | (D | (A1 | A2))) & !(A1 | A2)")
+        result = tseitin(f)
+        assert result.definitions == ((Atom("B1"), parse("A1 | A2")),)
+        assert str(result.cnf).startswith("(C | (D | B1)) & !B1 & ")
+        assert result == ref_tseitin(f)
+
+    @pytest.mark.parametrize("binding", ["fold", "classify"])
+    def test_one_walk_whatever_the_number_of_labels(self, monkeypatch, binding):
+        """The calls tseitin makes do not grow with the fresh atoms."""
+        calls = []
+
+        def count(n):
+            f = and_all(parse(f"(a{i} & !b{i}) | c{i}") for i in range(n))
+            real = getattr(cnfize, binding)
+            monkeypatch.setattr(cnfize, binding, lambda *a, **k: calls.append(1) or real(*a, **k))
+            calls.clear()
+            assert len(tseitin(f).fresh_atoms) >= n
+            monkeypatch.undo()
+            return len(calls)
+
+        assert count(10) == count(300)
 
     def test_verdicts_are_conserved_from_cnf_to_original(self):
         """Any delta making mu validate (entail) the CNF certifies that mu
@@ -309,6 +382,21 @@ class TestEntailmentLoss:
         ]
         assert {c.outcome for c in small.cases} == {"inconsistent", "falsified"}
 
+    def test_one_residual_of_the_cnf_per_delta(self, monkeypatch):
+        """Each delta walks the CNF once, for "entailed" and for the split
+        between "inconsistent" and "falsified" alike."""
+        mu, f = parse_assignment("A1"), parse("(A1 & A2) | (A1 & !A2) | (A3 & A4)")
+        cnf = tseitin(f).cnf
+        walks = []
+        for module in (cnfize, partial_sat):
+            def counted(g, nu, real=getattr(module, "residual")):
+                walks.append(g == cnf or type(g) is Not and g.arg == cnf)
+                return real(g, nu)
+            monkeypatch.setattr(module, "residual", counted)
+        report = check_entailment_loss(mu, f)
+        assert {c.outcome for c in report.cases} == {"inconsistent", "falsified"}
+        assert sum(walks) == len(report.cases) == 16
+
 
 class TestStripTautologies:
     def test_drops_tautological_clause(self):
@@ -356,3 +444,14 @@ class TestToDimacs:
         text = to_dimacs(tseitin(parse("(A1 & A2) | (A1 & !A2)")).cnf)
         assert text.splitlines()[:4] == ["c 1 B1", "c 2 B2", "c 3 A1", "c 4 A2"]
         assert "p cnf 4 7" in text
+
+
+def _depths_by_subformula(f):
+    """Printed subformula -> the depths where it occurs."""
+    found, todo = {}, [(f, 0)]
+    while todo:
+        node, depth = todo.pop()
+        found.setdefault(str(node), set()).add(depth)
+        todo += [(child, depth + 1) for child in (getattr(node, "arg", None),
+                 getattr(node, "left", None), getattr(node, "right", None)) if child]
+    return found
