@@ -3,9 +3,11 @@
 OBDD path enumeration yields partial assignments that *entail* the input;
 analytic tableaux and non-CNF DPLL yield assignments that *validate* it.
 Every entailing cube is a subset of some validating cube, so the OBDD
-listing is never longer than the DPLL one.  The engines, the OBDD build
-and the diagram walks all run on explicit stacks, so neither formula depth
-nor the number of diagram levels is bounded by the recursion limit.
+listing is never longer than the DPLL one.  The three engines, like
+predicate abstraction's label cubes, run on one depth-first driver,
+`_search`, and the OBDD build and the diagram walks on explicit stacks, so
+neither formula depth nor the number of diagram levels is bounded by the
+recursion limit.
 """
 from __future__ import annotations
 
@@ -234,24 +236,22 @@ def build_obdd(
 def obdd_enumerate(bdd: Obdd, f: Formula | None = None) -> EnumResult:
     """One partial assignment per root-to-true path, true branch first;
     each entails the formula the OBDD was built from."""
-    collected: list[Assignment] = []
-    # open paths as (node, bindings so far), the high branch on top
-    paths: list = [(bdd.root, {})]
-    while paths:
-        node_id, bound = paths.pop()
+
+    def step(path):  # (node, bindings so far)
+        node_id, bound = path
         if node_id < 2:
-            if node_id:
-                collected.append(Assignment(bound))
-            continue
+            return Assignment(bound) if node_id else None
         level, low, high = bdd.node(node_id)
         atom = bdd.order[level]
-        paths += ((low, {**bound, atom: False}), (high, {**bound, atom: True}))
+        return (low, {**bound, atom: False}), (high, {**bound, atom: True})
+
+    collected = tuple(_search((bdd.root, {}), step))
     source = f if f is not None else obdd_to_formula(bdd)
     return EnumResult(
         engine="obdd",
         mode="entailing",
         formula=source,
-        assignments=tuple(collected),
+        assignments=collected,
     )
 
 
@@ -292,6 +292,24 @@ class _Budget:
             )
 
 
+def _search(root, step, budget: _Budget | None = None):
+    """The one depth-first branch-and-yield loop of the engines.
+    `step(state)` returns None to close the state, an `Assignment` to yield
+    it as a cube, or a tuple of the states it leads to, which are pushed in
+    order so that the last one runs first; a two-way split spends one unit
+    of `budget`."""
+    states = [root]
+    pop = states.pop
+    while states:
+        out = step(pop())
+        if type(out) is tuple:
+            if budget is not None and len(out) == 2:
+                budget.spend()
+            states += out
+        elif out is not None:
+            yield out
+
+
 def tableaux_enumerate(
     f: Formula,
     branch_budget: int | None = None,
@@ -299,89 +317,77 @@ def tableaux_enumerate(
 ) -> EnumResult:
     """Analytic tableaux on the not/and desugaring: alpha rules extend a
     branch, beta rules split it, complementary literals close it.  Each open
-    saturated branch yields its literal set, which validates f.
+    saturated branch yields its literal set, which validates f.  A branch is
+    one `_search` state, (pending formulas, literals), and a split runs its
+    left child first.
 
     Duplicated or subsumed assignments are preserved unless dedup is set.
     """
     budget = _Budget(limits.branch_budget(branch_budget), "tableaux branching")
-    collected: list[Assignment] = []
 
-    # Open branches wait on an explicit stack as (pending, literals), the
-    # left child of a split on top: depth-first, left branch first.
-    branches: list = [([fold(f, _desugar)], {})]
-    while branches:
-        pending, literals = branches.pop()
+    def step(branch):  # the pending list is this branch's own
+        pending, literals = branch
         literals = dict(literals)
         while pending:
             x = pending.pop(0)
             if isinstance(x, Const):
                 if x.value:
                     continue
-                break
+                return None
             if isinstance(x, AtomRef):
-                known = literals.get(x.atom)
-                if known is False:
-                    break
+                if literals.get(x.atom) is False:
+                    return None
                 literals[x.atom] = True
                 continue
             if isinstance(x, And):
-                pending.append(x.left)
-                pending.append(x.right)
+                pending += (x.left, x.right)
                 continue
             assert isinstance(x, Not)
             inner = x.arg
             if isinstance(inner, Const):
                 if inner.value:
-                    break
+                    return None
                 continue
             if isinstance(inner, AtomRef):
-                known = literals.get(inner.atom)
-                if known is True:
-                    break
+                if literals.get(inner.atom) is True:
+                    return None
                 literals[inner.atom] = False
                 continue
             if isinstance(inner, Not):
                 pending.append(inner.arg)
                 continue
             assert isinstance(inner, And)
-            budget.spend()
-            branches += ((pending + [Not(inner.right)], literals),
-                         (pending + [Not(inner.left)], literals))
-            break
-        else:
-            collected.append(Assignment(literals))
+            return ((pending + [Not(inner.right)], literals),
+                    (pending + [Not(inner.left)], literals))
+        return Assignment(literals)
 
+    collected = tuple(_search(([fold(f, _desugar)], {}), step, budget))
     if dedup:
-        unique: list[Assignment] = []
-        for mu in collected:
-            if mu not in unique:
-                unique.append(mu)
-        literal_sets = [set(mu.literals()) for mu in unique]
-        collected = [
-            mu
-            for mu, lits in zip(unique, literal_sets)
-            if not any(other < lits for other in literal_sets)
-        ]
+        unique = list(dict.fromkeys(collected))
+        views = [mu._bindings.items() for mu in unique]
+        collected = tuple(mu for mu, view in zip(unique, views)
+                          if not any(other < view for other in views))
     return EnumResult(
         engine="tableaux",
         mode="validating",
         formula=f,
-        assignments=tuple(collected),
+        assignments=collected,
     )
 
 
 def _dpll_walk(f: Formula, budget: _Budget):
-    """Yield validating partial assignments: branch on the lexicographically
-    least atom of the residual (true first), bind forced literals, record a
-    branch when the residual folds to true, close on false.
+    """Yield validating partial assignments on `_search`: branch on the
+    lexicographically least atom of the residual (true first), bind forced
+    literals, record a branch when the residual folds to true, close on
+    false.
 
-    Open branches wait on an explicit stack as (trail, r, least atom of r,
-    decision), so depth is not bounded by the recursion limit.  A step is
-    one `residual_least` pass binding one atom on the trail, None or
-    (trail, atom, value).  The input is branched on unfolded."""
-    branches: list = [(None, f, min(atoms(f), default=None), None)]
-    while branches:
-        trail, r, least, decision = branches.pop()
+    A state is (trail, r, least atom of r, decision).  Its step binds the
+    decision, then each forced literal, one `residual_least` pass per
+    binding on the trail, None or (trail, atom, value).  The input is
+    branched on unfolded."""
+
+    def step(state):
+        trail, r, least, decision = state
         while True:
             if decision is not None:
                 atom, value = decision
@@ -389,9 +395,7 @@ def _dpll_walk(f: Formula, budget: _Budget):
                 r, least = residual_least(r, {atom.name: value})
             kind = type(r)
             if kind is Const:
-                if r.value:
-                    yield _trail_assignment(trail)
-                break
+                return _trail_assignment(trail) if r.value else None
             if kind is AtomRef:
                 decision = (r.atom, True)
             elif kind is Not and type(r.arg) is AtomRef:
@@ -399,9 +403,9 @@ def _dpll_walk(f: Formula, budget: _Budget):
             elif least is None:  # an atom-free input that is not yet folded
                 r, decision = residual(r, Assignment()), None
             else:
-                budget.spend()
-                branches += ((trail, r, least, (least, False)), (trail, r, least, (least, True)))
-                break
+                return (trail, r, least, (least, False)), (trail, r, least, (least, True))
+
+    return _search((None, f, min(atoms(f), default=None), None), step, budget)
 
 
 def _trail_assignment(trail) -> Assignment:

@@ -455,9 +455,11 @@ def cnf_clauses(f: Formula) -> list[Formula] | None:
     """The clauses of a CNF formula (any association), else None.
 
     The constants are not handled here; callers treat them separately.
+    Each leaf is tested with `is_literal`, so no `Literal` is built.
     """
-    pairs = _cnf_literals(f)
-    return None if pairs is None else [clause for clause, _ in pairs]
+    clauses = list(_flatten(f, And))
+    literal = all(is_literal(leaf) for clause in clauses for leaf in _flatten(clause, Or))
+    return clauses if literal else None
 
 
 def classify(f: Formula) -> StructureReport:

@@ -23,7 +23,7 @@ from .formula import (
     or_all,
     parse,
 )
-from .enumeration import EnumResult
+from .enumeration import EnumResult, _search
 from .quantified import (
     ExistentialFormula,
     _check_quantified_cap,
@@ -116,9 +116,10 @@ def enumerate_abstraction(
 
 def _label_cubes(p: PredAbsProblem, mode: str, expansion_cap: int | None,
                  atom_cap: int | None) -> tuple[ExistentialFormula, tuple[Assignment, ...]]:
-    """The existential formula of p and its label cubes in `mode`, the
-    expansion cap checked last, where `enumerate_abstraction` expands: an
-    unsatisfiable matrix reaches no leaf test, which checks it too."""
+    """The existential formula of p and its label cubes in `mode`, found on
+    `enumeration._search` with no branch budget; the expansion cap checked
+    last, where `enumerate_abstraction` expands: an unsatisfiable matrix
+    reaches no leaf test, which checks it too."""
     if mode not in ("validating", "entailing"):
         raise ValueError(f"unknown enumeration mode: {mode!r}")
     ef = to_existential(p)
@@ -127,31 +128,24 @@ def _label_cubes(p: PredAbsProblem, mode: str, expansion_cap: int | None,
     def satisfiable_with(mu: Assignment) -> bool:
         return brute_satisfiable(residual(ef.matrix, mu), atom_cap)
 
-    def leaf_test(mu: Assignment) -> bool:
-        if mode == "validating":
-            return exists_validates(mu, ef, expansion_cap)[0]
-        return exists_entails(mu, ef, atom_cap, expansion_cap)[0]
-
-    collected: list[Assignment] = []
-    cubes = [Assignment({})]  # open cubes, the true branch on top
-    while cubes:
-        mu = cubes.pop()
+    def step(mu: Assignment):
         if not satisfiable_with(mu):
-            continue
-        if leaf_test(mu):
-            collected.append(mu)
-            continue
+            return None
+        if (exists_validates(mu, ef, expansion_cap) if mode == "validating"
+                else exists_entails(mu, ef, atom_cap, expansion_cap))[0]:
+            return mu
         free = [label for label in labels if label not in mu]
         forced = next(((label, not value) for label in free for value in (True, False)
                        if not satisfiable_with(mu.bind(label, value))), None)
         if forced is not None:
-            cubes.append(mu.bind(*forced))
-            continue
+            return (mu.bind(*forced),)
         assert free, "a total open cube must pass its leaf test"
-        cubes += (mu.bind(free[0], False), mu.bind(free[0], True))
+        return mu.bind(free[0], False), mu.bind(free[0], True)
+
+    cubes = tuple(_search(Assignment({}), step))
     if ef.quantified:
         _check_quantified_cap(len(ef.quantified), expansion_cap)
-    return ef, tuple(collected)
+    return ef, cubes
 
 
 def compare_modes(

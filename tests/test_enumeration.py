@@ -1,5 +1,6 @@
 """OBDD, tableaux, and non-CNF DPLL enumeration of partial assignments."""
 import random
+import sys
 
 import pytest
 
@@ -10,15 +11,18 @@ from partialsat import (
     EnumResult,
     FALSE,
     Not,
+    PredAbsProblem,
     ResourceLimitError,
     TRUE,
     and_all,
     atoms,
     brute_equivalent,
     build_obdd,
+    compare_modes,
     dpll_enumerate,
     dpll_first_assignment,
     entails,
+    enumerate_abstraction,
     obdd_enumerate,
     obdd_to_formula,
     or_all,
@@ -28,7 +32,7 @@ from partialsat import (
     validates,
     verify_enumeration,
 )
-from partialsat import enumeration
+from partialsat import enumeration, predabs
 from partialsat.enumeration import _Budget, _dpll_walk
 from partialsat.formula import as_literal
 from gen import atom_pool, equivalent_variant, random_formula
@@ -351,6 +355,28 @@ class TestTableauxEnumerate:
                 for budget in (None, rng.randint(0, 6)):
                     assert run(iterative, f, budget) == run(ref_tableaux, f, budget)
 
+    def test_dedup_matches_the_literal_set_rule(self):
+        """`dedup` keeps what the literal-set rule keeps: the first copy of
+        each cube, unless another cube's literals are a proper subset."""
+        def literal_set_rule(listing):
+            unique = []
+            for mu in listing:
+                if mu not in unique:
+                    unique.append(mu)
+            sets = [set(mu.literals()) for mu in unique]
+            return tuple(mu for mu, lits in zip(unique, sets)
+                         if not any(other < lits for other in sets))
+
+        rng = random.Random(7013)
+        dropped = 0
+        for _ in range(400):
+            f = random_formula(rng, atom_pool(rng.randint(1, 5)), max_depth=rng.randint(1, 5))
+            listing = tableaux_enumerate(f).assignments
+            kept = tableaux_enumerate(f, dedup=True).assignments
+            assert kept == literal_set_rule(listing)
+            dropped += len(listing) - len(kept)
+        assert dropped > 0
+
     def test_branch_disjunction_covers_the_formula(self):
         rng = random.Random(7005)
         pool = atom_pool(5)
@@ -507,6 +533,75 @@ class TestDpllEnumerate:
         f = parse(" & ".join(f"A{i}" for i in range(1200)))
         (mu,) = dpll_enumerate(f).assignments
         assert mu == Assignment({a: True for a in atoms(f)})
+
+
+class TestOneSearchDriver:
+    """Every enumeration runs on one `enumeration._search`, and a branch
+    budget is charged there, once per two-way split."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        search, runs = enumeration._search, []
+
+        def counted(root, step, budget=None):
+            run = {"budget": budget, "splits": 0}
+            runs.append(run)
+
+            def counted_step(state):
+                out = step(state)
+                if type(out) is tuple and len(out) == 2:
+                    run["splits"] += 1
+                return out
+
+            return search(root, counted_step, budget)
+
+        owners = [module for name, module in sys.modules.items()
+                  if name.startswith("partialsat") and getattr(module, "_search", None) is search]
+        assert predabs in owners
+        for module in owners:
+            monkeypatch.setattr(module, "_search", counted)
+        return runs
+
+    def test_each_entry_point_runs_one_search(self, runs):
+        p = PredAbsProblem(parse("B1 | B2"), ((Atom("P1"), parse("B1 & B2")),
+                                              (Atom("P2"), parse("!B1"))))
+        calls = [
+            lambda: dpll_enumerate(GAP),
+            lambda: dpll_first_assignment(GAP),
+            lambda: tableaux_enumerate(GAP),
+            lambda: tableaux_enumerate(GAP, dedup=True),
+            lambda: obdd_enumerate(build_obdd(GAP)),
+            lambda: enumerate_abstraction(p, "validating"),
+            lambda: enumerate_abstraction(p, "entailing"),
+        ]
+        for call in calls:
+            runs.clear()
+            call()
+            assert len(runs) == 1
+        runs.clear()
+        compare_modes(p)
+        assert len(runs) == 2
+        assert all(run["budget"] is None for run in runs)
+
+    def test_the_branch_budget_is_spent_once_per_two_way_split(self, runs):
+        rng = random.Random(7014)
+        spent = 0
+        for _ in range(300):
+            f = random_formula(rng, atom_pool(rng.randint(1, 6)), max_depth=rng.randint(0, 5))
+            budget = rng.choice((None, rng.randint(0, 4)))
+            for engine in (dpll_enumerate, tableaux_enumerate, dpll_first_assignment):
+                runs.clear()
+                try:
+                    engine(f, budget)
+                except ResourceLimitError:
+                    pass
+                (run,) = runs
+                assert run["budget"].used == run["splits"]
+                spent += run["splits"]
+            runs.clear()
+            obdd_enumerate(build_obdd(f))
+            assert runs[0]["budget"] is None
+        assert spent > 0
 
 
 class TestEngineRelationships:

@@ -20,10 +20,11 @@ from partialsat import (
     and_all,
     atoms,
     classify,
+    cnf_clauses,
     format_formula,
     parse,
 )
-from partialsat.formula import tokenize
+from partialsat.formula import _cnf_literals, tokenize
 from gen import atom_pool, random_formula
 from oracles import ref_classify, ref_parse
 
@@ -416,3 +417,30 @@ class TestClassify:
             seen.add(report._fields())
         assert all(any(fields[i] for fields in seen) and not all(fields[i] for fields in seen)
                    for i in range(5))
+
+
+class TestCnfClauses:
+    def test_builds_no_literal_records(self, monkeypatch):
+        built = []
+        init = Literal.__init__
+        monkeypatch.setattr(Literal, "__init__", lambda self, *args: built.append(args)
+                            or init(self, *args))
+        clauses = [Or(AtomRef(Atom(f"A{i}")), Not(AtomRef(Atom(f"B{i}")))) for i in range(1000)]
+        assert cnf_clauses(and_all(clauses)) == clauses
+        assert built == []
+
+    def test_matches_the_clauses_of_cnf_literals(self):
+        rng = random.Random(1004)
+        pool = atom_pool(4)
+        outcomes = set()
+        for _ in range(1000):
+            parts = [random_formula(rng, pool, rng.choice((0, 1, 1, 2)), 0.1)
+                     for _ in range(rng.randint(1, 4))]
+            f = parts[0]
+            for part in parts[1:]:
+                f = And(f, part) if rng.random() < 0.5 else And(part, f)
+            pairs = _cnf_literals(f)
+            expected = None if pairs is None else [clause for clause, _ in pairs]
+            assert cnf_clauses(f) == expected
+            outcomes.add(expected is None)
+        assert outcomes == {True, False}
