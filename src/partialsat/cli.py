@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 semantic false (single-predicate `check` only),
 2 usage error, 3 resource limit exceeded.  Output is deterministic for
-fixed inputs; `--json` switches every verb to a JSON document on stdout.
+fixed inputs.  Each verb returns its JSON payload, its text lines and its
+exit code; `run` alone writes stdout, the JSON document under `--json`
+and the lines otherwise, and writes nothing to it on an error.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from .enumeration import (
     verify_enumeration,
 )
 from .errors import PartialSatError, ResourceLimitError
-from .formula import Atom
+from .formula import Atom, parse
 from .partial_sat import verdict
 from .predabs import compare_modes, enumerate_abstraction, problem_from_json
 from .quantified import (
@@ -44,28 +46,32 @@ def _add_formula_source(sub: argparse.ArgumentParser) -> None:
     group.add_argument("--file", help="path to a file holding the formula")
 
 
+def _add_json_and_limits(sub: argparse.ArgumentParser, *limits: str) -> None:
+    """`--json`, then each integer budget or cap option, all optional."""
+    sub.add_argument("--json", action="store_true")
+    for flag in limits:
+        sub.add_argument(flag, type=int, default=None)
+
+
 def _formula_text(args: argparse.Namespace) -> str:
     if args.formula is not None:
         return args.formula
     return Path(args.file).read_text()
 
 
-def _assignment_of(args: argparse.Namespace) -> Assignment:
-    return parse_assignment(getattr(args, "assign", None) or "")
-
-
 def _literal_strings(mu: Assignment | None) -> list[str] | None:
-    if mu is None:
-        return None
-    return [str(lit) for lit in mu.literals()]
+    return None if mu is None else [str(lit) for lit in mu.literals()]
 
 
-def _bool_text(value: bool) -> str:
-    return "true" if value else "false"
+def _text(value) -> str:
+    """A payload value as text: true/false, a comma-joined list, or str."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return ", ".join(value) if isinstance(value, list) else str(value)
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+def _field_lines(payload: dict) -> list[str]:
+    return [f"{key}: {_text(value)}" for key, value in payload.items()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,17 +97,14 @@ def build_parser() -> argparse.ArgumentParser:
         default="both",
         help="which predicate to decide; single modes exit 1 on a false answer",
     )
-    check.add_argument("--json", action="store_true")
-    check.add_argument("--max-atoms", type=int, default=None)
-    check.add_argument("--branch-budget", type=int, default=None)
-    check.add_argument("--expansion-cap", type=int, default=None)
+    _add_json_and_limits(check, "--max-atoms", "--branch-budget", "--expansion-cap")
 
     res = subparsers.add_parser(
         "residual", help="print the formula simplified under an assignment"
     )
     _add_formula_source(res)
     res.add_argument("--assign", "-a", default="")
-    res.add_argument("--json", action="store_true")
+    _add_json_and_limits(res)
 
     enum = subparsers.add_parser(
         "enumerate",
@@ -125,10 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="re-check mode predicates, disjointness, and coverage",
     )
-    enum.add_argument("--json", action="store_true")
-    enum.add_argument("--max-atoms", type=int, default=None)
-    enum.add_argument("--node-budget", type=int, default=None)
-    enum.add_argument("--branch-budget", type=int, default=None)
+    _add_json_and_limits(enum, "--max-atoms", "--node-budget", "--branch-budget")
 
     cnf = subparsers.add_parser(
         "cnfize",
@@ -144,10 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep fresh-atom assignments for loss of the given verdict",
     )
     cnf.add_argument("--dimacs-out", default=None, help="write DIMACS CNF to this path")
-    cnf.add_argument("--json", action="store_true")
-    cnf.add_argument("--max-atoms", type=int, default=None)
-    cnf.add_argument("--sweep-cap", type=int, default=None)
-    cnf.add_argument("--branch-budget", type=int, default=None)
+    _add_json_and_limits(cnf, "--max-atoms", "--sweep-cap", "--branch-budget")
 
     sh = subparsers.add_parser(
         "shannon",
@@ -155,8 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_formula_source(sh)
     sh.add_argument("--keep-bot-disjuncts", action="store_true")
-    sh.add_argument("--json", action="store_true")
-    sh.add_argument("--expansion-cap", type=int, default=None)
+    _add_json_and_limits(sh, "--expansion-cap")
 
     pa = subparsers.add_parser(
         "predabs",
@@ -166,79 +162,44 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument(
         "--mode", choices=("validating", "entailing"), required=True
     )
-    pa.add_argument("--json", action="store_true")
-    pa.add_argument("--max-atoms", type=int, default=None)
-    pa.add_argument("--expansion-cap", type=int, default=None)
+    _add_json_and_limits(pa, "--max-atoms", "--expansion-cap")
 
     cp = subparsers.add_parser(
         "compare",
         help="run both predicate-abstraction modes and compare sizes",
     )
     cp.add_argument("--problem", required=True, help="problem JSON file")
-    cp.add_argument("--json", action="store_true")
-    cp.add_argument("--max-atoms", type=int, default=None)
-    cp.add_argument("--expansion-cap", type=int, default=None)
+    _add_json_and_limits(cp, "--max-atoms", "--expansion-cap")
     return parser
 
 
-def _run_check(args: argparse.Namespace) -> int:
+def _run_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     ef = parse_existential(_formula_text(args))
-    mu = _assignment_of(args)
-    delta = None
-    witness = None
+    mu = parse_assignment(args.assign)
+    delta = witness = None
     if ef.quantified:
         v, delta = exists_validates(mu, ef, args.expansion_cap)
         e, witness = exists_entails(mu, ef, args.max_atoms, args.expansion_cap)
     else:
-        sv = verdict(
-            mu,
-            ef.matrix,
-            atom_cap=args.max_atoms,
-            branch_budget=args.branch_budget,
-        )
+        sv = verdict(mu, ef.matrix, atom_cap=args.max_atoms,
+                     branch_budget=args.branch_budget)
         v, e, witness = sv.validates, sv.entails, sv.witness
-    lines: list[str] = []
     payload: dict = {}
-    if args.mode in ("validates", "both"):
-        lines.append(f"validates: {_bool_text(v)}")
-        payload["validates"] = v
-        if delta is not None:
-            lines.append(f"delta: {delta}")
-            payload["delta"] = _literal_strings(delta)
-    if args.mode in ("entails", "both"):
-        lines.append(f"entails: {_bool_text(e)}")
-        payload["entails"] = e
-        if witness is not None:
-            lines.append(f"witness: {witness}")
-            payload["witness"] = _literal_strings(witness)
-    if args.json:
-        _emit_json(payload)
-    else:
-        print("\n".join(lines))
-    if args.mode == "validates":
-        return 0 if v else 1
-    if args.mode == "entails":
-        return 0 if e else 1
-    return 0
+    for key, value, name, extra in (("validates", v, "delta", delta),
+                                    ("entails", e, "witness", witness)):
+        if args.mode in (key, "both"):
+            payload[key] = value
+            if extra is not None:
+                payload[name] = _literal_strings(extra)
+    code = 0 if args.mode == "both" or payload[args.mode] else 1
+    return payload, _field_lines(payload), code
 
 
-def _run_residual(args: argparse.Namespace) -> int:
-    from .formula import parse
-
+def _run_residual(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     f = parse(_formula_text(args))
-    mu = _assignment_of(args)
-    r = residual(f, mu)
-    if args.json:
-        _emit_json(
-            {
-                "formula": str(f),
-                "assign": _literal_strings(mu),
-                "residual": str(r),
-            }
-        )
-    else:
-        print(r)
-    return 0
+    mu = parse_assignment(args.assign)
+    r = str(residual(f, mu))
+    return {"formula": str(f), "assign": _literal_strings(mu), "residual": r}, [r], 0
 
 
 def _parse_order(text: str) -> tuple[Atom, ...]:
@@ -248,9 +209,7 @@ def _parse_order(text: str) -> tuple[Atom, ...]:
     return tuple(Atom(name) for name in names)
 
 
-def _run_enumerate(args: argparse.Namespace) -> int:
-    from .formula import parse
-
+def _run_enumerate(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     f = parse(_formula_text(args))
     if args.order is not None and args.engine != "obdd":
         raise ValueError("--order applies only to --engine obdd")
@@ -263,143 +222,86 @@ def _run_enumerate(args: argparse.Namespace) -> int:
         result = tableaux_enumerate(f, args.branch_budget, dedup=args.dedup)
     else:
         result = dpll_enumerate(f, args.branch_budget)
-    report = (
-        verify_enumeration(result, f, args.max_atoms) if args.verify else None
-    )
-    if args.json:
-        payload = result.to_json_dict()
-        if report is not None:
-            payload["verification"] = {
-                "ok": report.ok,
-                "mode_violations": list(report.mode_violations),
-                "disjointness_violations": (
-                    None
-                    if report.disjointness_violations is None
-                    else [list(pair) for pair in report.disjointness_violations]
-                ),
-                "covers": report.covers,
-            }
-        _emit_json(payload)
-    else:
-        for line in result.to_text_lines():
-            print(line)
-        if report is not None:
-            print(f"verified: {_bool_text(report.ok)}")
-    return 0
+    payload, lines = result.to_json_dict(), result.to_text_lines()
+    if args.verify:
+        report = verify_enumeration(result, f, args.max_atoms)
+        payload["verification"] = {
+            "ok": report.ok,
+            "mode_violations": report.mode_violations,
+            "disjointness_violations": report.disjointness_violations,
+            "covers": report.covers,
+        }
+        lines.append(f"verified: {_text(report.ok)}")
+    return payload, lines, 0
 
 
-def _loss_report_lines(report) -> list[str]:
-    lines = [f"loss: {_bool_text(report.loss)}"]
-    for case in report.cases:
-        delta = str(case.delta) or "(empty)"
-        line = f"delta {delta}: {case.outcome}"
-        if case.witness is not None:
-            line += f" (witness: {case.witness})"
-        lines.append(line)
-    return lines
-
-
-def _run_cnfize(args: argparse.Namespace) -> int:
-    from .formula import parse
-
+def _run_cnfize(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     f = parse(_formula_text(args))
-    if args.check_loss is not None:
-        mu = _assignment_of(args)
-        if args.check_loss == "validating":
-            report = check_validation_loss(mu, f, args.sweep_cap)
-        else:
-            report = check_entailment_loss(
-                mu, f, args.sweep_cap, args.max_atoms, args.branch_budget
-            )
-        if args.json:
-            _emit_json(
-                {
-                    "mode": report.mode,
-                    "loss": report.loss,
-                    "formula": str(report.original),
-                    "cnf": str(report.cnf),
-                    "fresh_atoms": [a.name for a in report.fresh_atoms],
-                    "cases": [
-                        {
-                            "delta": _literal_strings(case.delta),
-                            "outcome": case.outcome,
-                            "witness": _literal_strings(case.witness),
-                        }
-                        for case in report.cases
-                    ],
-                }
-            )
-        else:
-            print("\n".join(_loss_report_lines(report)))
-        return 0
-    result = tseitin(f)
-    if args.dimacs_out is not None:
-        Path(args.dimacs_out).write_text(to_dimacs(result.cnf))
-    if args.json:
-        _emit_json(
-            {
-                "formula": str(f),
-                "cnf": str(result.cnf),
-                "fresh_atoms": [a.name for a in result.fresh_atoms],
-                "definitions": [
-                    {"atom": atom.name, "def": str(definition)}
-                    for atom, definition in result.definitions
-                ],
-            }
-        )
+    if args.check_loss is None:
+        result = tseitin(f)
+        if args.dimacs_out is not None:
+            Path(args.dimacs_out).write_text(to_dimacs(result.cnf))
+        cnf = str(result.cnf)
+        return {
+            "formula": str(f),
+            "cnf": cnf,
+            "fresh_atoms": [a.name for a in result.fresh_atoms],
+            "definitions": [
+                {"atom": atom.name, "def": str(definition)}
+                for atom, definition in result.definitions
+            ],
+        }, [cnf], 0
+    mu = parse_assignment(args.assign)
+    if args.check_loss == "validating":
+        report = check_validation_loss(mu, f, args.sweep_cap)
     else:
-        print(result.cnf)
-    return 0
+        report = check_entailment_loss(
+            mu, f, args.sweep_cap, args.max_atoms, args.branch_budget
+        )
+    lines = [f"loss: {_text(report.loss)}"]
+    cases = []
+    for case in report.cases:
+        delta, witness = _literal_strings(case.delta), _literal_strings(case.witness)
+        cases.append({"delta": delta, "outcome": case.outcome, "witness": witness})
+        line = f"delta {_text(delta) or '(empty)'}: {case.outcome}"
+        if witness is not None:
+            line += f" (witness: {_text(witness)})"
+        lines.append(line)
+    return {
+        "mode": report.mode,
+        "loss": report.loss,
+        "formula": str(report.original),
+        "cnf": str(report.cnf),
+        "fresh_atoms": [a.name for a in report.fresh_atoms],
+        "cases": cases,
+    }, lines, 0
 
 
-def _run_shannon(args: argparse.Namespace) -> int:
+def _run_shannon(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     ef = parse_existential(_formula_text(args))
-    expansion = shannon_expand(
+    expansion = str(shannon_expand(
         ef, args.expansion_cap, keep_bot_disjuncts=args.keep_bot_disjuncts
-    )
-    if args.json:
-        _emit_json(
-            {
-                "matrix": str(ef.matrix),
-                "quantified": [a.name for a in sorted(ef.quantified)],
-                "expansion": str(expansion),
-            }
-        )
-    else:
-        print(expansion)
-    return 0
+    ))
+    return {
+        "matrix": str(ef.matrix),
+        "quantified": [a.name for a in sorted(ef.quantified)],
+        "expansion": expansion,
+    }, [expansion], 0
 
 
-def _run_predabs(args: argparse.Namespace) -> int:
+def _run_predabs(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     problem = problem_from_json(Path(args.problem).read_text())
     result = enumerate_abstraction(
         problem, args.mode, args.expansion_cap, args.max_atoms
     )
-    if args.json:
-        _emit_json(result.to_json_dict())
-    else:
-        for line in result.to_text_lines():
-            print(line)
-    return 0
+    return result.to_json_dict(), result.to_text_lines(), 0
 
 
-def _run_compare(args: argparse.Namespace) -> int:
+def _run_compare(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     problem = problem_from_json(Path(args.problem).read_text())
     report = compare_modes(problem, args.expansion_cap, args.max_atoms)
-    payload = {
-        "cube_count_validating": report.cube_count_validating,
-        "cube_count_entailing": report.cube_count_entailing,
-        "total_literals_validating": report.total_literals_validating,
-        "total_literals_entailing": report.total_literals_entailing,
-        "equivalent": report.equivalent,
-    }
-    if args.json:
-        _emit_json(payload)
-    else:
-        for key, value in payload.items():
-            text = _bool_text(value) if isinstance(value, bool) else value
-            print(f"{key}: {text}")
-    return 0
+    payload = {name: getattr(report, name) for name in report.__slots__}
+    return payload, _field_lines(payload), 0
 
 
 _HANDLERS = {
@@ -414,14 +316,21 @@ _HANDLERS = {
 
 
 def run(argv: list[str]) -> int:
-    """Execute one command; returns the process exit code."""
+    """Execute one command; returns the process exit code.  This is the only
+    code that writes stdout, after the verb has computed everything."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.verb](args)
+        payload, lines, code = _HANDLERS[args.verb](args)
+        if args.json:
+            print(json.dumps(payload, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        return code
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -237,12 +237,16 @@ def obdd_enumerate(bdd: Obdd, f: Formula | None = None) -> EnumResult:
     """One partial assignment per root-to-true path, true branch first;
     each entails the formula the OBDD was built from."""
 
-    def step(path):  # (node, bindings so far)
+    def step(path):  # (node, bindings so far); an edge into 0 is not pushed
         node_id, bound = path
-        if node_id < 2:
+        if node_id < 2:  # 0 only as an unsatisfiable root
             return Assignment(bound) if node_id else None
         level, low, high = bdd.node(node_id)
         atom = bdd.order[level]
+        if not low:
+            return ((high, {**bound, atom: True}),)
+        if not high:
+            return ((low, {**bound, atom: False}),)
         return (low, {**bound, atom: False}), (high, {**bound, atom: True})
 
     collected = tuple(_search((bdd.root, {}), step))

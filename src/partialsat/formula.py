@@ -55,8 +55,9 @@ class Atom(Record):
 class Formula(Record):
     """Base class for formula AST nodes; instances are immutable trees.
 
-    `==` walks the tree with an explicit stack and `hash` hashes the printed
-    form, so neither is bounded by the recursion limit."""
+    `==` compares and `hash` hashes the printed form, which is canonical
+    (the printer is injective: parse(format_formula(f)) == f), so equality
+    and hash agree and neither is bounded by the recursion limit."""
 
     __slots__ = ()
 
@@ -66,21 +67,7 @@ class Formula(Record):
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a is b:
-                continue
-            kind = type(a)
-            if kind is not type(b):
-                return False
-            if kind in _BINARY:
-                pairs += ((a.right, b.right), (a.left, b.left))
-            elif kind is Not:
-                pairs.append((a.arg, b.arg))
-            elif a._fields() != b._fields():
-                return False
-        return True
+        return self is other or format_formula(self) == format_formula(other)
 
     def __hash__(self) -> int:
         return hash(format_formula(self))

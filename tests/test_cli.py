@@ -64,6 +64,22 @@ class TestCheck:
         assert code == 0
         assert out == "validates: true\ndelta: B1, !B2\nentails: true\n"
 
+    def test_lifted_validates_json_carries_the_delta(self, capsys):
+        code, out, _ = invoke(
+            capsys, "check", "-f", "exists B1 . A1 & B1", "-a", "A1",
+            "--mode", "validates", "--json",
+        )
+        assert code == 0
+        assert json.loads(out) == {"validates": True, "delta": ["B1"]}
+
+    def test_lifted_entails_false_prints_the_witness(self, capsys):
+        code, out, _ = invoke(
+            capsys, "check", "-f", "exists B1 . A1 & B1", "-a", "!A1",
+            "--mode", "entails",
+        )
+        assert code == 1
+        assert out == "entails: false\nwitness: !A1\n"
+
     def test_json(self, capsys):
         code, out, _ = invoke(capsys, "check", "-f", GAP, "-a", "A1", "--json")
         assert code == 0
@@ -247,6 +263,19 @@ class TestEnumerate:
                 "covers": True,
             },
         }
+
+    @pytest.mark.parametrize("engine", ["obdd", "dpll", "tableaux"])
+    def test_unsatisfiable_input_lists_nothing(self, capsys, engine):
+        command = ("enumerate", "-f", "A1 & !A1", "--engine", engine)
+        assert invoke(capsys, *command) == (0, "", "")
+        assert invoke(capsys, *command, "--verify") == (0, "verified: true\n", "")
+        code, out, _ = invoke(capsys, *command, "--verify", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["assignments"] == []
+        assert payload["verification"]["disjointness_violations"] == (
+            None if engine == "tableaux" else []
+        )
 
     def test_node_budget_exits_3(self, capsys):
         code, _, err = invoke(
@@ -459,6 +488,23 @@ class TestPredabsAndCompare:
             "total_literals_entailing: 1\n"
             "equivalent: true\n"
         )
+
+    def test_unsatisfiable_base(self, capsys, tmp_path):
+        path = tmp_path / "unsat.json"
+        path.write_text(json.dumps({
+            "base": "B1 & !B1", "predicates": [{"label": "A1", "def": "B1"}],
+        }))
+        for mode in ("validating", "entailing"):
+            assert invoke(
+                capsys, "predabs", "--problem", str(path), "--mode", mode
+            ) == (0, "", "")
+        assert invoke(capsys, "compare", "--problem", str(path)) == (0, (
+            "cube_count_validating: 0\n"
+            "cube_count_entailing: 0\n"
+            "total_literals_validating: 0\n"
+            "total_literals_entailing: 0\n"
+            "equivalent: true\n"
+        ), "")
 
     def test_compare_json(self, capsys, problem_path):
         _, out, _ = invoke(capsys, "compare", "--problem", problem_path, "--json")

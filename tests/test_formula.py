@@ -256,14 +256,14 @@ class TestPrint:
         pool = atom_pool(8)
         for _ in range(300):
             f = random_formula(rng, pool, max_depth=8)
-            assert parse(str(f)) == f
+            assert parse(str(f)) == f and _same_tree(parse(str(f)), f)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_round_trip_hypothesis(self, data):
         seed = data.draw(st.integers(0, 2**32 - 1))
         f = random_formula(random.Random(seed), atom_pool(8), max_depth=8)
-        assert parse(str(f)) == f
+        assert parse(str(f)) == f and _same_tree(parse(str(f)), f)
 
     def test_matches_recursive_printer(self):
         rng = random.Random(1002)
@@ -309,6 +309,21 @@ def _chain(node, right_deep=False, bottom="A"):
 
 
 class TestDeepEquality:
+    def test_equality_is_structural(self):
+        # `==` compares printed forms, so the printer must be injective
+        rng = random.Random(1003)
+        pool = atom_pool(2)
+        formulas = [random_formula(rng, pool, max_depth=3, const_chance=0.2)
+                    for _ in range(300)]
+        equal_pairs = 0
+        for f in formulas:
+            for g in formulas:
+                same = _same_tree(f, g)
+                assert (f == g) is same
+                equal_pairs += same and f is not g
+        assert equal_pairs > 300
+        assert And(And(rA1, rA2), rA3) != And(rA1, And(rA2, rA3))
+
     @pytest.mark.parametrize("node,right_deep", [
         *(pytest.param(node, side, id=f"{node.__name__}-{['left', 'right'][side]}-deep")
           for node in (And, Or, Implies, Iff) for side in (False, True)),
