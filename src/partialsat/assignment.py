@@ -21,6 +21,7 @@ from .formula import (
     expect,
     name_ref,
     parse_error,
+    refuse_atoms,
     tokenize,
 )
 
@@ -135,10 +136,7 @@ def extensions(mu: Assignment, atom_set: Iterable[Atom]) -> Iterator[Assignment]
     false per atom, atoms in lexicographic order.
     """
     universe = set(atom_set)
-    escaped = mu.domain - universe
-    if escaped:
-        names = ", ".join(sorted(a.name for a in escaped))
-        raise ValueError(f"assignment binds atoms outside the universe: {names}")
+    refuse_atoms("assignment binds atoms outside the universe: ", mu.domain - universe)
     for rest in total_assignments(sorted(universe - mu.domain)):
         yield mu.union(rest)
 

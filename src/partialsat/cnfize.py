@@ -13,7 +13,6 @@ from __future__ import annotations
 from itertools import count
 
 from .assignment import EMPTY_ASSIGNMENT, Assignment, total_assignments
-from .errors import ResourceLimitError
 from .formula import (
     And,
     Atom,
@@ -32,6 +31,7 @@ from .formula import (
     cnf_clauses,
     fold,
     is_literal,
+    refuse_atoms,
 )
 from .formula import classify  # noqa: F401 (perfbench wraps it)
 from .partial_sat import _entails_with_witness, entails, validates
@@ -194,23 +194,8 @@ def strip_tautologies(f: Formula) -> Formula:
     return and_all(kept)
 
 
-def _fresh_sweep(
-    fresh: tuple[Atom, ...], cap: int | None
-):
-    if len(fresh) > limits.sweep_cap(cap):
-        raise ResourceLimitError(
-            f"sweeping {len(fresh)} fresh atoms exceeds the cap of "
-            f"{limits.sweep_cap(cap)}"
-        )
-    return total_assignments(fresh)
-
-
-def _guard_fresh_collision(mu: Assignment, fresh: tuple[Atom, ...]) -> None:
-    clash = sorted(a.name for a in mu.domain & set(fresh))
-    if clash:
-        raise ValueError(
-            "assignment binds fresh atom(s): " + ", ".join(clash)
-        )
+_FRESH_BOUND = "assignment binds fresh atom(s): "
+_SWEEPING = "sweeping {} fresh atoms"
 
 
 def check_validation_loss(
@@ -221,11 +206,11 @@ def check_validation_loss(
     if not validates(mu, f):
         raise ValueError("precondition violated: mu does not validate f")
     result = tseitin(f)
-    _guard_fresh_collision(mu, result.fresh_atoms)
-    deltas = _fresh_sweep(result.fresh_atoms, sweep_cap)
+    refuse_atoms(_FRESH_BOUND, mu.domain.intersection(result.fresh_atoms))
+    limits.check(len(result.fresh_atoms), limits.sweep_cap(sweep_cap), _SWEEPING)
     values = eval3_sweep(result.cnf, list(result.fresh_atoms), mu)
     cases = tuple(LossCase(delta=delta, outcome=_VALIDATION_OUTCOME[value])
-                  for delta, value in zip(deltas, values))
+                  for delta, value in zip(total_assignments(result.fresh_atoms), values))
     return LossReport(
         mode="validating",
         loss=all(case.outcome != "validated" for case in cases),
@@ -250,13 +235,15 @@ def check_entailment_loss(
     the CNF) and "falsified" (some do, but not all); both carry a concrete
     falsifying total extension.
     """
+    atom_cap, branch_budget = limits.max_atoms(atom_cap), limits.branch_budget(branch_budget)
     if not entails(mu, f, atom_cap=atom_cap, branch_budget=branch_budget):
         raise ValueError("precondition violated: mu does not entail f")
     result = tseitin(f)
-    _guard_fresh_collision(mu, result.fresh_atoms)
+    refuse_atoms(_FRESH_BOUND, mu.domain.intersection(result.fresh_atoms))
+    limits.check(len(result.fresh_atoms), limits.sweep_cap(sweep_cap), _SWEEPING)
     cases: list[LossCase] = []
     recovered = False
-    for delta in _fresh_sweep(result.fresh_atoms, sweep_cap):
+    for delta in total_assignments(result.fresh_atoms):
         extended = mu.union(delta)
         r = residual(result.cnf, extended)  # one walk of the CNF per delta
         ok, witness = _entails_with_witness(

@@ -28,6 +28,7 @@ from .formula import (
     atoms,
     fold,
     or_all,
+    refuse_atoms,
 )
 from .record import Record
 from .semantics import _FOLD, _KEEP, _NEGATE, brute_equivalent, residual, residual_least
@@ -169,11 +170,7 @@ def build_obdd(
         order = tuple(sorted(needed))
     else:
         order = tuple(order)
-        missing = sorted(a.name for a in needed - set(order))
-        if missing:
-            raise ValueError(
-                "atom order does not cover: " + ", ".join(missing)
-            )
+        refuse_atoms("atom order does not cover: ", needed - set(order))
         if len(set(order)) != len(order):
             raise ValueError("atom order contains duplicates")
     budget = limits.node_budget(node_budget)

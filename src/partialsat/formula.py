@@ -172,6 +172,14 @@ def atoms(f: Formula) -> frozenset[Atom]:
     return frozenset(found.values())
 
 
+def refuse_atoms(prefix: str, found: Iterable[Atom]) -> None:
+    """The one atom-set refusal: raise ValueError(prefix + the sorted,
+    comma-joined names) unless found is empty."""
+    names = sorted(a.name for a in found)
+    if names:
+        raise ValueError(prefix + ", ".join(names))
+
+
 def fold(f: Formula, combine, leaf=None):
     """Post-order fold of f with an explicit stack, so depth is not bounded
     by the recursion limit.  A constant or atom becomes `leaf(node)` (itself

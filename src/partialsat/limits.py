@@ -1,8 +1,11 @@
 """Default budgets and caps, overridable via PARTIALSAT_* environment variables.
 
 Resolution order everywhere: explicit argument > environment variable > default.
+`check` is the one size-cap rule; a call that checks a cap often resolves it once.
 """
 import os
+
+from .errors import ResourceLimitError
 
 DEFAULT_MAX_ATOMS = 22       # exhaustive truth-table sweeps: 2^22 rows worst case
 DEFAULT_NODE_BUDGET = 10**6  # OBDD unique-table size
@@ -41,3 +44,10 @@ def expansion_cap(explicit: int | None = None) -> int:
 
 def sweep_cap(explicit: int | None = None) -> int:
     return explicit if explicit is not None else _from_env("SWEEP_CAP", DEFAULT_SWEEP_CAP)
+
+
+def check(count: int, cap: int, what: str) -> None:
+    """The one size-cap rule: raise ResourceLimitError when count exceeds
+    cap; `what` has one `{}` for the count, formatted only on failure."""
+    if count > cap:
+        raise ResourceLimitError(f"{what.format(count)} exceeds the cap of {cap}")

@@ -22,17 +22,19 @@ from .formula import (
     atoms,
     or_all,
     parse,
+    refuse_atoms,
 )
 from .enumeration import EnumResult, _search
 from .quantified import (
     ExistentialFormula,
-    _check_quantified_cap,
+    _EXPANDING,
     exists_entails,
     exists_validates,
     shannon_expand,
 )
 from .record import Record
 from .semantics import brute_equivalent, brute_satisfiable, residual
+from . import limits
 
 
 class PredAbsProblem(Record):
@@ -47,11 +49,7 @@ class PredAbsProblem(Record):
         hidden = set(atoms(base))
         for _, definition in predicates:
             hidden |= atoms(definition)
-        clash = sorted(label.name for label in labels if label in hidden)
-        if clash:
-            raise ValueError(
-                "label atom(s) collide with formula atoms: " + ", ".join(clash)
-            )
+        refuse_atoms("label atom(s) collide with formula atoms: ", hidden.intersection(labels))
         self._set(base, predicates)
 
 
@@ -110,16 +108,17 @@ def enumerate_abstraction(
     mode's check (exists-validates or exists-entails), and otherwise forces
     failed literals before splitting on the next unassigned label.
     """
+    atom_cap, expansion_cap = limits.max_atoms(atom_cap), limits.expansion_cap(expansion_cap)
     ef, cubes = _label_cubes(p, mode, expansion_cap, atom_cap)
     return EnumResult("dpll", mode, shannon_expand(ef, expansion_cap), cubes)
 
 
-def _label_cubes(p: PredAbsProblem, mode: str, expansion_cap: int | None,
-                 atom_cap: int | None) -> tuple[ExistentialFormula, tuple[Assignment, ...]]:
+def _label_cubes(p: PredAbsProblem, mode: str, expansion_cap: int,
+                 atom_cap: int) -> tuple[ExistentialFormula, tuple[Assignment, ...]]:
     """The existential formula of p and its label cubes in `mode`, found on
-    `enumeration._search` with no branch budget; the expansion cap checked
-    last, where `enumerate_abstraction` expands: an unsatisfiable matrix
-    reaches no leaf test, which checks it too."""
+    `enumeration._search` with no branch budget, under resolved caps; the
+    expansion cap checked last, where `enumerate_abstraction` expands: an
+    unsatisfiable matrix reaches no leaf test, which checks it too."""
     if mode not in ("validating", "entailing"):
         raise ValueError(f"unknown enumeration mode: {mode!r}")
     ef = to_existential(p)
@@ -144,7 +143,7 @@ def _label_cubes(p: PredAbsProblem, mode: str, expansion_cap: int | None,
 
     cubes = tuple(_search(Assignment({}), step))
     if ef.quantified:
-        _check_quantified_cap(len(ef.quantified), expansion_cap)
+        limits.check(len(ef.quantified), expansion_cap, _EXPANDING)
     return ef, cubes
 
 
@@ -154,6 +153,7 @@ def compare_modes(
     atom_cap: int | None = None,
 ) -> ModeComparison:
     """Run both modes and report how much smaller the entailing result is."""
+    atom_cap, expansion_cap = limits.max_atoms(atom_cap), limits.expansion_cap(expansion_cap)
     _, validating = _label_cubes(p, "validating", expansion_cap, atom_cap)
     _, entailing = _label_cubes(p, "entailing", expansion_cap, atom_cap)
     equivalent = brute_equivalent(*(or_all([mu.to_cube() for mu in cubes])

@@ -10,7 +10,6 @@ the plain checks applied to the Shannon expansion.
 from __future__ import annotations
 
 from .assignment import Assignment, total_assignments
-from .errors import ResourceLimitError
 from .formula import (
     Atom,
     FALSE,
@@ -23,6 +22,7 @@ from .formula import (
     or_all,
     parse_error,
     parse_formula_body,
+    refuse_atoms,
     tokenize,
 )
 from .partial_sat import validates  # noqa: F401 (perfbench wraps it)
@@ -72,20 +72,8 @@ def parse_existential(text: str) -> ExistentialFormula:
     return ExistentialFormula(matrix=matrix, quantified=quantified)
 
 
-def _check_quantified_cap(count: int, cap: int | None) -> None:
-    limit = limits.expansion_cap(cap)
-    if count > limit:
-        raise ResourceLimitError(
-            f"expanding {count} quantified atoms exceeds the cap of {limit}"
-        )
-
-
-def _guard_bound_domain(mu: Assignment, ef: ExistentialFormula) -> None:
-    clash = sorted(a.name for a in mu.domain if a in ef.quantified)
-    if clash:
-        raise ValueError(
-            "assignment binds quantified atom(s): " + ", ".join(clash)
-        )
+_EXPANDING = "expanding {} quantified atoms"  # predabs checks this cap too
+_BOUND = "assignment binds quantified atom(s): "
 
 
 def _tidy_disjunct(d: Formula) -> Formula:
@@ -123,7 +111,7 @@ def shannon_expand(
     """
     if not ef.quantified:
         return ef.matrix
-    _check_quantified_cap(len(ef.quantified), expansion_cap)
+    limits.check(len(ef.quantified), limits.expansion_cap(expansion_cap), _EXPANDING)
     ordered = sorted(ef.quantified)
     disjuncts = []
     for delta in total_assignments(ordered):
@@ -141,8 +129,8 @@ def exists_validates(
 ) -> tuple[bool, Assignment | None]:
     """True with the lexicographically first witnessing delta iff some total
     delta over the bound atoms makes mu ∪ delta validate the matrix."""
-    _guard_bound_domain(mu, ef)
-    _check_quantified_cap(len(ef.quantified), expansion_cap)
+    refuse_atoms(_BOUND, mu.domain & ef.quantified)
+    limits.check(len(ef.quantified), limits.expansion_cap(expansion_cap), _EXPANDING)
     eta = first_block(ef.matrix, sorted(ef.quantified), [], mu, some=True)
     return (False, None) if eta is None else (True, eta.restrict(ef.quantified))
 
@@ -161,14 +149,9 @@ def exists_entails(
     free atoms then the bound ones, eta fails iff its 2^|B|-row block is
     empty.
     """
-    _guard_bound_domain(mu, ef)
-    _check_quantified_cap(len(ef.quantified), expansion_cap)
+    refuse_atoms(_BOUND, mu.domain & ef.quantified)
+    limits.check(len(ef.quantified), limits.expansion_cap(expansion_cap), _EXPANDING)
     unassigned = sorted(ef.free_atoms - mu.domain)
-    limit = limits.max_atoms(atom_cap)
-    if len(unassigned) > limit:
-        raise ResourceLimitError(
-            f"sweeping {len(unassigned)} unassigned free atoms exceeds the cap "
-            f"of {limit}"
-        )
+    limits.check(len(unassigned), limits.max_atoms(atom_cap), "sweeping {} unassigned free atoms")
     eta = first_block(ef.matrix, unassigned, sorted(ef.quantified), mu)
     return (True, None) if eta is None else (False, eta)

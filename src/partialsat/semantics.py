@@ -21,7 +21,6 @@ from operator import attrgetter
 from typing import Iterator
 
 from .assignment import EMPTY_ASSIGNMENT, Assignment, total_assignments
-from .errors import ResourceLimitError
 from .formula import (
     And,
     Atom,
@@ -35,6 +34,7 @@ from .formula import (
     Or,
     TRUE,
     atoms,
+    refuse_atoms,
 )
 from . import limits
 
@@ -282,19 +282,13 @@ def eval3_sweep(f: Formula, avs: list[Atom], fixed: Assignment) -> Iterator[Trut
 def sat_total(f: Formula, eta: Assignment) -> bool:
     """Classical satisfaction by a total assignment over atoms(f)."""
     needed = atoms(f)
-    if not eta.is_total_for(needed):
-        missing = ", ".join(sorted(a.name for a in needed if a not in eta))
-        raise ValueError(f"assignment is not total for the formula: missing {missing}")
+    refuse_atoms("assignment is not total for the formula: missing ", needed - eta.domain)
     return _table(f, {a.name: int(eta.value(a)) for a in needed}, 1) == 1
 
 
 def _sweep_atoms(f: Formula, atom_cap: int | None, found=None) -> list[Atom]:
     avs = sorted(atoms(f) if found is None else found, key=attrgetter("name"))  # no __lt__ calls
-    cap = limits.max_atoms(atom_cap)
-    if len(avs) > cap:
-        raise ResourceLimitError(
-            f"brute-force sweep over {len(avs)} atoms exceeds the cap of {cap}"
-        )
+    limits.check(len(avs), limits.max_atoms(atom_cap), "brute-force sweep over {} atoms")
     return avs
 
 

@@ -517,6 +517,51 @@ class TestPredabsAndCompare:
         }
 
 
+LIMIT_COMMANDS = [
+    (("enumerate", "-f", GAP, "--engine", "dpll", "--verify", "--max-atoms", "1"),
+     "brute-force sweep over 2 atoms exceeds the cap of 1"),
+    (("check", "-f", "exists B1 . A1 & A2 & B1", "--max-atoms", "1"),
+     "sweeping 2 unassigned free atoms exceeds the cap of 1"),
+    (("shannon", "-f", "exists B1 B2 . B1 & B2", "--expansion-cap", "1"),
+     "expanding 2 quantified atoms exceeds the cap of 1"),
+    (("cnfize", "-f", "(A1 & A2) | (A3 & A4)", "-a", "A1, A2", "--check-loss", "validating",
+      "--sweep-cap", "1"),
+     "sweeping 2 fresh atoms exceeds the cap of 1"),
+    (("enumerate", "-f", "A1 <-> A2", "--engine", "obdd", "--node-budget", "1"),
+     "OBDD construction exceeded the node budget of 1"),
+    (("enumerate", "-f", GAP, "--engine", "dpll", "--branch-budget", "1"),
+     "DPLL branching exceeded the budget of 1"),
+]
+
+
+class TestLimits:
+    @pytest.mark.parametrize("command, message", LIMIT_COMMANDS)
+    def test_each_limit_exits_3_with_its_message(self, capsys, command, message):
+        assert invoke(capsys, *command) == (3, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command, message", LIMIT_COMMANDS)
+    def test_each_limit_reads_its_environment_variable(self, capsys, monkeypatch,
+                                                       command, message):
+        *args, flag, value = command
+        monkeypatch.setenv("PARTIALSAT_" + flag[2:].replace("-", "_").upper(), value)
+        assert invoke(capsys, *args) == (3, "", f"error: {message}\n")
+
+    def test_a_malformed_variable_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("PARTIALSAT_MAX_ATOMS", "x")
+        assert invoke(capsys, "check", "-f", "exists B1 . A1 & A2 & B1") == (
+            2, "", "error: PARTIALSAT_MAX_ATOMS must be an integer, got 'x'\n")
+
+    def test_a_malformed_variable_is_reported_when_no_sweep_reads_it(
+            self, capsys, monkeypatch, tmp_path):
+        # an unsatisfiable base with no hidden atom reaches no lifted check
+        # and no expansion, yet the call resolves its caps when it starts
+        path = tmp_path / "false.json"
+        path.write_text('{"base": "false", "predicates": []}')
+        monkeypatch.setenv("PARTIALSAT_EXPANSION_CAP", "x")
+        assert invoke(capsys, "predabs", "--problem", str(path), "--mode", "entailing") == (
+            2, "", "error: PARTIALSAT_EXPANSION_CAP must be an integer, got 'x'\n")
+
+
 class TestDeterminism:
     def test_repeated_runs_are_byte_identical(self, capsys):
         commands = [

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from partialsat import cnfize, partial_sat, semantics
+from partialsat import cnfize, limits, partial_sat, semantics
 from partialsat import (
     And,
     Assignment,
@@ -396,6 +396,24 @@ class TestEntailmentLoss:
         report = check_entailment_loss(mu, f)
         assert {c.outcome for c in report.cases} == {"inconsistent", "falsified"}
         assert sum(walks) == len(report.cases) == 16
+
+    def test_each_variable_is_read_at_most_once_per_check(self, monkeypatch):
+        reads = []
+        real = limits._from_env
+        monkeypatch.setattr(limits, "_from_env",
+                            lambda name, default: reads.append(name) or real(name, default))
+        mu, f = parse_assignment("A1"), parse("(A1 & A2) | (A1 & !A2) | (A3 & A4)")
+        # a cap of 0 sends every residual to the DPLL refutation and its budget
+        for atom_cap, read in ((None, ["BRANCH_BUDGET", "MAX_ATOMS", "SWEEP_CAP"]),
+                               (0, ["BRANCH_BUDGET", "SWEEP_CAP"])):
+            reads.clear()
+            assert len(check_entailment_loss(mu, f, atom_cap=atom_cap).cases) == 16
+            assert sorted(reads) == read
+        reads.clear()
+        monkeypatch.setenv("PARTIALSAT_SWEEP_CAP", "1")
+        with pytest.raises(ResourceLimitError, match="sweeping 2 fresh atoms exceeds the cap of 1"):
+            check_validation_loss(parse_assignment("A1, A2"), parse("(A1 & A2) | (A3 & A4)"))
+        assert reads == ["SWEEP_CAP"]
 
 
 class TestStripTautologies:

@@ -167,3 +167,19 @@ def test_no_function_calls_itself():
     found = {path.name: sorted(set(_self_calls(ast.parse(path.read_text()))))
              for path in sorted((SRC / "partialsat").glob("*.py"))}
     assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def _constructed(tree, name):
+    return any(isinstance(node, ast.Call) and _callee_name(node) == name
+               for node in ast.walk(tree))
+
+
+def test_limits_are_raised_in_one_place():
+    """A size cap fails through `limits.check`, with its one message form;
+    only the two work budgets in `enumeration` raise on their own."""
+    sources = {path.name: path.read_text() for path in sorted((SRC / "partialsat").glob("*.py"))}
+    assert sorted(name for name, text in sources.items()
+                  if _constructed(ast.parse(text), "ResourceLimitError")) == [
+        "enumeration.py", "limits.py"]
+    assert [name for name, text in sources.items() if "exceeds the cap of" in text] == [
+        "limits.py"]

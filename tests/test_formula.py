@@ -24,6 +24,7 @@ from partialsat import (
     format_formula,
     parse,
 )
+import partialsat as ps
 from partialsat.formula import _cnf_literals, tokenize
 from gen import atom_pool, random_formula
 from oracles import ref_classify, ref_parse
@@ -356,6 +357,38 @@ class TestAtoms:
 
     def test_constants_have_no_atoms(self):
         assert atoms(TRUE) == frozenset()
+
+
+_LIFTED = "exists B1 B2 . B1 & B2 & A1"
+_TWO_FRESH = "(A1 & A2) | (A3 & A4)"  # Tseitin labels both conjunctions: B1, B2
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ps.sat_total(parse("A2 & A10 & A1"), ps.parse_assignment("A1")),
+     "assignment is not total for the formula: missing A10, A2"),
+    (lambda: list(ps.extensions(ps.parse_assignment("A3, B2, B1"), [Atom("A3")])),
+     "assignment binds atoms outside the universe: B1, B2"),
+    (lambda: ps.build_obdd(parse("A3 & A1 & A2"), order=(Atom("A2"),)),
+     "atom order does not cover: A1, A3"),
+    (lambda: ps.PredAbsProblem(parse("B2 & B1"), ((Atom("B2"), parse("B3")),
+                                                  (Atom("B1"), parse("B4")))),
+     "label atom(s) collide with formula atoms: B1, B2"),
+    (lambda: ps.exists_validates(ps.parse_assignment("B2, A1, B1"),
+                                 ps.parse_existential(_LIFTED)),
+     "assignment binds quantified atom(s): B1, B2"),
+    (lambda: ps.exists_entails(ps.parse_assignment("B2, B1"), ps.parse_existential(_LIFTED)),
+     "assignment binds quantified atom(s): B1, B2"),
+    (lambda: ps.check_validation_loss(ps.parse_assignment("A1, A2, B2, B1"), parse(_TWO_FRESH)),
+     "assignment binds fresh atom(s): B1, B2"),
+    (lambda: ps.check_entailment_loss(ps.parse_assignment("A1, A2, B2, B1"), parse(_TWO_FRESH)),
+     "assignment binds fresh atom(s): B1, B2"),
+])
+def test_each_clash_names_its_atoms_sorted(call, message):
+    """Every atom-set refusal goes through `formula.refuse_atoms`: the
+    prefix, then the clashing names sorted and comma-joined."""
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 class TestClassify:

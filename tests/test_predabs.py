@@ -17,7 +17,7 @@ from partialsat import (
     to_existential,
     verify_enumeration,
 )
-from partialsat import predabs
+from partialsat import limits, predabs
 from gen import atom_pool, random_formula
 from oracles import ref_enumerate_abstraction
 
@@ -170,6 +170,23 @@ class TestDegenerateProblems:
             with pytest.raises(ResourceLimitError):
                 run()
         assert compare_modes(p, expansion_cap=2) == ModeComparison(0, 0, 0, 0, True)
+
+    def test_each_variable_is_read_at_most_once_per_call(self, monkeypatch):
+        reads = []
+        real = limits._from_env
+        monkeypatch.setattr(limits, "_from_env",
+                            lambda name, default: reads.append(name) or real(name, default))
+        pa8 = PredAbsProblem(  # thousands of sweeps and lifted checks
+            base=parse(" | ".join(f"A{i}" for i in range(1, 11))),
+            predicates=tuple((Atom(f"P{k}"), parse(f"A{k} & A{k + 1} | !A{k + 2}"))
+                             for k in range(1, 9)),
+        )
+        assert compare_modes(pa8) == ModeComparison(149, 57, 1192, 388, True)
+        assert sorted(reads) == ["EXPANSION_CAP", "MAX_ATOMS"]
+        for mode, count in (("validating", 149), ("entailing", 57)):
+            reads.clear()
+            assert len(enumerate_abstraction(pa8, mode).assignments) == count
+            assert sorted(reads) == ["EXPANSION_CAP", "MAX_ATOMS"]
 
 
 class TestRandomProblems:
