@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 semantic false (single-predicate `check` only),
 2 usage error, 3 resource limit exceeded.  Output is deterministic for
 fixed inputs.  Each verb returns its JSON payload, its text lines and its
 exit code; `run` alone writes stdout, the JSON document under `--json`
-and the lines otherwise, and writes nothing to it on an error.
+and the lines otherwise, and writes nothing to it on an error.  `run`
+resolves each limit option of the verb once, before the verb runs, and
+the verb passes those integers to every library call.
 """
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ from .quantified import (
     shannon_expand,
 )
 from .semantics import residual
+from . import limits
 
 
 def _add_formula_source(sub: argparse.ArgumentParser) -> None:
@@ -46,10 +49,10 @@ def _add_formula_source(sub: argparse.ArgumentParser) -> None:
     group.add_argument("--file", help="path to a file holding the formula")
 
 
-def _add_json_and_limits(sub: argparse.ArgumentParser, *limits: str) -> None:
+def _add_json_and_limits(sub: argparse.ArgumentParser, *flags: str) -> None:
     """`--json`, then each integer budget or cap option, all optional."""
     sub.add_argument("--json", action="store_true")
-    for flag in limits:
+    for flag in flags:
         sub.add_argument(flag, type=int, default=None)
 
 
@@ -324,6 +327,10 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for name in limits.DEFAULTS:  # --max-atoms is MAX_ATOMS, and so on
+            dest = name.lower()
+            if hasattr(args, dest):
+                setattr(args, dest, limits.resolve(name, getattr(args, dest)))
         payload, lines, code = _HANDLERS[args.verb](args)
         if args.json:
             print(json.dumps(payload, indent=2))

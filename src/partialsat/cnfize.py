@@ -207,7 +207,7 @@ def check_validation_loss(
         raise ValueError("precondition violated: mu does not validate f")
     result = tseitin(f)
     refuse_atoms(_FRESH_BOUND, mu.domain.intersection(result.fresh_atoms))
-    limits.check(len(result.fresh_atoms), limits.sweep_cap(sweep_cap), _SWEEPING)
+    limits.check(len(result.fresh_atoms), limits.resolve("SWEEP_CAP", sweep_cap), _SWEEPING)
     values = eval3_sweep(result.cnf, list(result.fresh_atoms), mu)
     cases = tuple(LossCase(delta=delta, outcome=_VALIDATION_OUTCOME[value])
                   for delta, value in zip(total_assignments(result.fresh_atoms), values))
@@ -235,12 +235,13 @@ def check_entailment_loss(
     the CNF) and "falsified" (some do, but not all); both carry a concrete
     falsifying total extension.
     """
-    atom_cap, branch_budget = limits.max_atoms(atom_cap), limits.branch_budget(branch_budget)
+    atom_cap = limits.resolve("MAX_ATOMS", atom_cap)
+    branch_budget = limits.resolve("BRANCH_BUDGET", branch_budget)
     if not entails(mu, f, atom_cap=atom_cap, branch_budget=branch_budget):
         raise ValueError("precondition violated: mu does not entail f")
     result = tseitin(f)
     refuse_atoms(_FRESH_BOUND, mu.domain.intersection(result.fresh_atoms))
-    limits.check(len(result.fresh_atoms), limits.sweep_cap(sweep_cap), _SWEEPING)
+    limits.check(len(result.fresh_atoms), limits.resolve("SWEEP_CAP", sweep_cap), _SWEEPING)
     cases: list[LossCase] = []
     recovered = False
     for delta in total_assignments(result.fresh_atoms):

@@ -12,7 +12,6 @@ recursion limit.
 from __future__ import annotations
 
 from .assignment import Assignment
-from .errors import ResourceLimitError
 from .formula import (
     And,
     Atom,
@@ -99,17 +98,14 @@ class Obdd:
         self._unique: dict[tuple[int, int, int], int] = {}
         self.root = 0
 
-    def _mk(self, level: int, low: int, high: int, budget: int) -> int:
+    def _mk(self, level: int, low: int, high: int, budget: limits.Budget) -> int:
         if low == high:
             return low
         key = (level, low, high)
         found = self._unique.get(key)
         if found is not None:
             return found
-        if len(self._nodes) - 2 >= budget:
-            raise ResourceLimitError(
-                f"OBDD construction exceeded the node budget of {budget}"
-            )
+        budget.spend()
         self._nodes.append(key)
         node_id = len(self._nodes) - 1
         self._unique[key] = node_id
@@ -173,7 +169,8 @@ def build_obdd(
         refuse_atoms("atom order does not cover: ", needed - set(order))
         if len(set(order)) != len(order):
             raise ValueError("atom order contains duplicates")
-    budget = limits.node_budget(node_budget)
+    budget = limits.Budget(limits.resolve("NODE_BUDGET", node_budget),
+                           "OBDD construction", "node budget")
     bdd = Obdd(order)
     nodes, mk = bdd._nodes, bdd._mk
     level_of = {atom: i for i, atom in enumerate(order)}
@@ -277,23 +274,7 @@ def _desugar(node: Formula, a: Formula, b: Formula | None = None) -> Formula:
     return And(Not(And(a, Not(b))), Not(And(b, Not(a))))
 
 
-class _Budget:
-    __slots__ = ("limit", "used", "what")
-
-    def __init__(self, limit: int, what: str):
-        self.limit = limit
-        self.used = 0
-        self.what = what
-
-    def spend(self) -> None:
-        self.used += 1
-        if self.used > self.limit:
-            raise ResourceLimitError(
-                f"{self.what} exceeded the budget of {self.limit}"
-            )
-
-
-def _search(root, step, budget: _Budget | None = None):
+def _search(root, step, budget: limits.Budget | None = None):
     """The one depth-first branch-and-yield loop of the engines.
     `step(state)` returns None to close the state, an `Assignment` to yield
     it as a cube, or a tuple of the states it leads to, which are pushed in
@@ -324,7 +305,7 @@ def tableaux_enumerate(
 
     Duplicated or subsumed assignments are preserved unless dedup is set.
     """
-    budget = _Budget(limits.branch_budget(branch_budget), "tableaux branching")
+    budget = limits.Budget(limits.resolve("BRANCH_BUDGET", branch_budget), "tableaux branching")
 
     def step(branch):  # the pending list is this branch's own
         pending, literals = branch
@@ -376,7 +357,7 @@ def tableaux_enumerate(
     )
 
 
-def _dpll_walk(f: Formula, budget: _Budget):
+def _dpll_walk(f: Formula, budget: limits.Budget):
     """Yield validating partial assignments on `_search`: branch on the
     lexicographically least atom of the residual (true first), bind forced
     literals, record a branch when the residual folds to true, close on
@@ -422,7 +403,7 @@ def dpll_enumerate(f: Formula, branch_budget: int | None = None) -> EnumResult:
     """Non-CNF DPLL over the residual; every yielded assignment validates f,
     the assignments are pairwise inconsistent, and their disjunction is
     equivalent to f.  The pure-literal rule is off, as it would skip cubes."""
-    budget = _Budget(limits.branch_budget(branch_budget), "DPLL branching")
+    budget = limits.Budget(limits.resolve("BRANCH_BUDGET", branch_budget), "DPLL branching")
     collected = tuple(_dpll_walk(f, budget))
     return EnumResult(
         engine="dpll",
@@ -437,7 +418,7 @@ def dpll_first_assignment(
 ) -> Assignment | None:
     """First validating partial assignment found by the DPLL engine, or
     None when f is unsatisfiable."""
-    budget = _Budget(limits.branch_budget(branch_budget), "DPLL branching")
+    budget = limits.Budget(limits.resolve("BRANCH_BUDGET", branch_budget), "DPLL branching")
     return next(_dpll_walk(f, budget), None)
 
 
@@ -446,17 +427,21 @@ def verify_enumeration(
     f: Formula | None = None,
     atom_cap: int | None = None,
 ) -> VerificationReport:
-    """Re-check an enumeration against its source formula: the mode predicate
-    per assignment, pairwise disjointness (OBDD/DPLL only), and equivalence
-    of the cube disjunction with the formula."""
+    """Re-check an enumeration against its source formula: equivalence of
+    the cube disjunction with the formula, swept first under the atom cap
+    (which then bounds every cube's residual too), the mode predicate per
+    assignment, and pairwise disjointness (OBDD/DPLL only)."""
     from .partial_sat import entails, validates
 
     source = f if f is not None else result.formula
-    check = validates if result.mode == "validating" else entails
+    atom_cap = limits.resolve("MAX_ATOMS", atom_cap)
+    disjunction = or_all([mu.to_cube() for mu in result.assignments])
+    covers = brute_equivalent(disjunction, source, atom_cap)
     mode_violations = tuple(
         idx
         for idx, mu in enumerate(result.assignments)
-        if not check(mu, source)
+        if not (validates(mu, source) if result.mode == "validating"
+                else entails(mu, source, atom_cap=atom_cap))
     )
     disjointness: tuple[tuple[int, int], ...] | None
     if result.engine == "tableaux":
@@ -468,8 +453,6 @@ def verify_enumeration(
             for j in range(i + 1, len(result.assignments))
             if not result.assignments[i].conflicts_with(result.assignments[j])
         )
-    disjunction = or_all([mu.to_cube() for mu in result.assignments])
-    covers = brute_equivalent(disjunction, source, atom_cap)
     return VerificationReport(
         engine=result.engine,
         mode=result.mode,

@@ -1,17 +1,21 @@
-"""Default budgets and caps, overridable via PARTIALSAT_* environment variables.
+"""Every budget and cap: its variable, its default and its rules.
 
-Resolution order everywhere: explicit argument > environment variable > default.
-`check` is the one size-cap rule; a call that checks a cap often resolves it once.
-"""
+`resolve(name, explicit)` is the one resolution rule: the explicit value,
+else the PARTIALSAT_<name> environment variable, else `DEFAULTS[name]`; a
+call resolves each limit once and passes the integer down.  `check` is the
+one size-cap rule and `Budget` the one work-budget rule: nothing else
+raises ResourceLimitError."""
 import os
 
 from .errors import ResourceLimitError
 
-DEFAULT_MAX_ATOMS = 22       # exhaustive truth-table sweeps: 2^22 rows worst case
-DEFAULT_NODE_BUDGET = 10**6  # OBDD unique-table size
-DEFAULT_BRANCH_BUDGET = 10**5  # tableaux / DPLL search-tree branches
-DEFAULT_EXPANSION_CAP = 12   # quantified atoms in a materialized Shannon expansion
-DEFAULT_SWEEP_CAP = 20       # fresh atoms swept by the CNF-ization loss checks
+DEFAULTS = {
+    "MAX_ATOMS": 22,         # exhaustive truth-table sweeps: 2^22 rows worst case
+    "NODE_BUDGET": 10**6,    # OBDD unique-table size
+    "BRANCH_BUDGET": 10**5,  # tableaux / DPLL search-tree branches
+    "EXPANSION_CAP": 12,     # quantified atoms in a materialized Shannon expansion
+    "SWEEP_CAP": 20,         # fresh atoms swept by the CNF-ization loss checks
+}
 
 _ENV_PREFIX = "PARTIALSAT_"
 
@@ -26,24 +30,9 @@ def _from_env(name: str, default: int) -> int:
         raise ValueError(f"{_ENV_PREFIX}{name} must be an integer, got {raw!r}")
 
 
-def max_atoms(explicit: int | None = None) -> int:
-    return explicit if explicit is not None else _from_env("MAX_ATOMS", DEFAULT_MAX_ATOMS)
-
-
-def node_budget(explicit: int | None = None) -> int:
-    return explicit if explicit is not None else _from_env("NODE_BUDGET", DEFAULT_NODE_BUDGET)
-
-
-def branch_budget(explicit: int | None = None) -> int:
-    return explicit if explicit is not None else _from_env("BRANCH_BUDGET", DEFAULT_BRANCH_BUDGET)
-
-
-def expansion_cap(explicit: int | None = None) -> int:
-    return explicit if explicit is not None else _from_env("EXPANSION_CAP", DEFAULT_EXPANSION_CAP)
-
-
-def sweep_cap(explicit: int | None = None) -> int:
-    return explicit if explicit is not None else _from_env("SWEEP_CAP", DEFAULT_SWEEP_CAP)
+def resolve(name: str, explicit: int | None = None) -> int:
+    """The limit `name` (a key of DEFAULTS): explicit > environment > default."""
+    return explicit if explicit is not None else _from_env(name, DEFAULTS[name])
 
 
 def check(count: int, cap: int, what: str) -> None:
@@ -51,3 +40,19 @@ def check(count: int, cap: int, what: str) -> None:
     cap; `what` has one `{}` for the count, formatted only on failure."""
     if count > cap:
         raise ResourceLimitError(f"{what.format(count)} exceeds the cap of {cap}")
+
+
+class Budget:
+    """The one work-budget rule: each `spend` uses one unit of work (a
+    search split, a new OBDD node), and the unit past `limit` raises
+    `<what> exceeded the <noun> of <limit>`."""
+
+    __slots__ = ("limit", "used", "what", "noun")
+
+    def __init__(self, limit: int, what: str, noun: str = "budget"):
+        self.limit, self.used, self.what, self.noun = limit, 0, what, noun
+
+    def spend(self) -> None:
+        self.used += 1
+        if self.used > self.limit:
+            raise ResourceLimitError(f"{self.what} exceeded the {self.noun} of {self.limit}")

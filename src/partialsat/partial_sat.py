@@ -71,7 +71,7 @@ def _entails_with_witness(
     rho = None
     if r is not FALSE:
         found = atoms(r)
-        cap = None if backend == "dpll" else limits.max_atoms(atom_cap)  # read once
+        cap = None if backend == "dpll" else limits.resolve("MAX_ATOMS", atom_cap)  # read once
         if backend == "brute" or backend == "auto" and len(found) <= cap:
             rho = first_falsifying(r, cap, _atoms=found)
         else:

@@ -108,7 +108,8 @@ def enumerate_abstraction(
     mode's check (exists-validates or exists-entails), and otherwise forces
     failed literals before splitting on the next unassigned label.
     """
-    atom_cap, expansion_cap = limits.max_atoms(atom_cap), limits.expansion_cap(expansion_cap)
+    atom_cap = limits.resolve("MAX_ATOMS", atom_cap)
+    expansion_cap = limits.resolve("EXPANSION_CAP", expansion_cap)
     ef, cubes = _label_cubes(p, mode, expansion_cap, atom_cap)
     return EnumResult("dpll", mode, shannon_expand(ef, expansion_cap), cubes)
 
@@ -153,7 +154,8 @@ def compare_modes(
     atom_cap: int | None = None,
 ) -> ModeComparison:
     """Run both modes and report how much smaller the entailing result is."""
-    atom_cap, expansion_cap = limits.max_atoms(atom_cap), limits.expansion_cap(expansion_cap)
+    atom_cap = limits.resolve("MAX_ATOMS", atom_cap)
+    expansion_cap = limits.resolve("EXPANSION_CAP", expansion_cap)
     _, validating = _label_cubes(p, "validating", expansion_cap, atom_cap)
     _, entailing = _label_cubes(p, "entailing", expansion_cap, atom_cap)
     equivalent = brute_equivalent(*(or_all([mu.to_cube() for mu in cubes])

@@ -111,7 +111,7 @@ def shannon_expand(
     """
     if not ef.quantified:
         return ef.matrix
-    limits.check(len(ef.quantified), limits.expansion_cap(expansion_cap), _EXPANDING)
+    limits.check(len(ef.quantified), limits.resolve("EXPANSION_CAP", expansion_cap), _EXPANDING)
     ordered = sorted(ef.quantified)
     disjuncts = []
     for delta in total_assignments(ordered):
@@ -130,7 +130,7 @@ def exists_validates(
     """True with the lexicographically first witnessing delta iff some total
     delta over the bound atoms makes mu ∪ delta validate the matrix."""
     refuse_atoms(_BOUND, mu.domain & ef.quantified)
-    limits.check(len(ef.quantified), limits.expansion_cap(expansion_cap), _EXPANDING)
+    limits.check(len(ef.quantified), limits.resolve("EXPANSION_CAP", expansion_cap), _EXPANDING)
     eta = first_block(ef.matrix, sorted(ef.quantified), [], mu, some=True)
     return (False, None) if eta is None else (True, eta.restrict(ef.quantified))
 
@@ -150,8 +150,9 @@ def exists_entails(
     empty.
     """
     refuse_atoms(_BOUND, mu.domain & ef.quantified)
-    limits.check(len(ef.quantified), limits.expansion_cap(expansion_cap), _EXPANDING)
+    limits.check(len(ef.quantified), limits.resolve("EXPANSION_CAP", expansion_cap), _EXPANDING)
     unassigned = sorted(ef.free_atoms - mu.domain)
-    limits.check(len(unassigned), limits.max_atoms(atom_cap), "sweeping {} unassigned free atoms")
+    limits.check(len(unassigned), limits.resolve("MAX_ATOMS", atom_cap),
+                 "sweeping {} unassigned free atoms")
     eta = first_block(ef.matrix, unassigned, sorted(ef.quantified), mu)
     return (True, None) if eta is None else (False, eta)

@@ -288,7 +288,7 @@ def sat_total(f: Formula, eta: Assignment) -> bool:
 
 def _sweep_atoms(f: Formula, atom_cap: int | None, found=None) -> list[Atom]:
     avs = sorted(atoms(f) if found is None else found, key=attrgetter("name"))  # no __lt__ calls
-    limits.check(len(avs), limits.max_atoms(atom_cap), "brute-force sweep over {} atoms")
+    limits.check(len(avs), limits.resolve("MAX_ATOMS", atom_cap), "brute-force sweep over {} atoms")
     return avs
 
 

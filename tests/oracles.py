@@ -51,7 +51,7 @@ from partialsat import (
 )
 from partialsat.assignment import total_assignments
 from partialsat.cnfize import _definition_clauses
-from partialsat.enumeration import Obdd, _Budget
+from partialsat.enumeration import Obdd
 from partialsat.formula import StructureReport, _cnf_literals, cnf_clauses, cube_literals, fold
 from partialsat.partial_sat import _entails_with_witness
 from partialsat.quantified import ExistentialFormula
@@ -418,7 +418,7 @@ def _desugar(f):
 def ref_tableaux(f, branch_budget=None):
     """The listing of `tableaux_enumerate(f, branch_budget)` (without
     dedup), expanding one recursive call per split."""
-    budget = _Budget(limits.branch_budget(branch_budget), "tableaux branching")
+    budget = limits.Budget(limits.resolve("BRANCH_BUDGET", branch_budget), "tableaux branching")
     collected = []
 
     def expand(pending, literals):
@@ -515,7 +515,8 @@ def ref_build_obdd(f, order=None, node_budget=None):
     """`build_obdd` with recursive `negate` and `apply`, and a terminal-case
     ladder per connective."""
     order = tuple(sorted(atoms(f))) if order is None else tuple(order)
-    budget = limits.node_budget(node_budget)
+    budget = limits.Budget(limits.resolve("NODE_BUDGET", node_budget),
+                           "OBDD construction", "node budget")
     bdd = Obdd(order)
     level_of = {atom: i for i, atom in enumerate(order)}
     not_memo, apply_memo = {}, {}

@@ -562,6 +562,19 @@ class TestLimits:
             2, "", "error: PARTIALSAT_EXPANSION_CAP must be an integer, got 'x'\n")
 
 
+    @pytest.mark.parametrize("name, command", [
+        ("BRANCH_BUDGET", ("check", "-f", "A1", "-a", "A1")),
+        ("NODE_BUDGET", ("enumerate", "-f", "A1", "--engine", "dpll")),
+    ])
+    def test_a_malformed_variable_of_the_verb_exits_2_before_it_runs(
+            self, capsys, monkeypatch, name, command):
+        # the verb declares the option, so the run resolves the variable
+        # before it starts, although this input would never read it
+        monkeypatch.setenv("PARTIALSAT_" + name, "x")
+        assert invoke(capsys, *command) == (
+            2, "", f"error: PARTIALSAT_{name} must be an integer, got 'x'\n")
+
+
 class TestDeterminism:
     def test_repeated_runs_are_byte_identical(self, capsys):
         commands = [

@@ -175,11 +175,28 @@ def _constructed(tree, name):
 
 
 def test_limits_are_raised_in_one_place():
-    """A size cap fails through `limits.check`, with its one message form;
-    only the two work budgets in `enumeration` raise on their own."""
+    """A size cap fails through `limits.check` and a work budget through
+    `limits.Budget.spend`, each with its one message form."""
     sources = {path.name: path.read_text() for path in sorted((SRC / "partialsat").glob("*.py"))}
-    assert sorted(name for name, text in sources.items()
-                  if _constructed(ast.parse(text), "ResourceLimitError")) == [
-        "enumeration.py", "limits.py"]
-    assert [name for name, text in sources.items() if "exceeds the cap of" in text] == [
-        "limits.py"]
+    assert [name for name, text in sources.items()
+            if _constructed(ast.parse(text), "ResourceLimitError")] == ["limits.py"]
+    assert [name for name, text in sources.items()
+            if "exceeds the cap of" in text or "exceeded the" in text] == ["limits.py"]
+
+
+def test_limits_are_resolved_in_one_place():
+    """Only `limits` reads the environment, and only `limits.resolve`
+    reads a PARTIALSAT_* variable."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted((SRC / "partialsat").glob("*.py"))}
+    readers = sorted(name for name, tree in trees.items() if any(
+        getattr(node, "attr", None) in ("environ", "getenv")
+        or getattr(node, "id", None) in ("environ", "getenv")
+        or isinstance(node, ast.alias) and node.name in ("environ", "getenv")
+        for node in ast.walk(tree)))
+    assert readers == ["limits.py"]
+    callers = [(name, fn.name) for name, tree in trees.items()
+               for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and "_from_env" in (getattr(node.func, attr, None) for attr in ("attr", "id"))]
+    assert callers == [("limits.py", "resolve")]

@@ -32,8 +32,9 @@ from partialsat import (
     validates,
     verify_enumeration,
 )
-from partialsat import enumeration, predabs
-from partialsat.enumeration import _Budget, _dpll_walk
+from partialsat import enumeration, partial_sat, predabs
+from partialsat.enumeration import _dpll_walk
+from partialsat.limits import Budget
 from partialsat.formula import as_literal
 from gen import atom_pool, equivalent_variant, random_formula
 import oracles
@@ -330,8 +331,8 @@ class TestTableauxEnumerate:
         """The same cubes, splits and budget errors, interleaved in the same
         order, as expanding one recursive call per split."""
         events = []
-        spend, cube = _Budget.spend, enumeration.Assignment
-        monkeypatch.setattr(_Budget, "spend", lambda budget: events.append("split")
+        spend, cube = Budget.spend, enumeration.Assignment
+        monkeypatch.setattr(Budget, "spend", lambda budget: events.append("split")
                             or spend(budget))
         for module in (enumeration, oracles):
             monkeypatch.setattr(module, "Assignment", lambda literals: events.append(
@@ -448,7 +449,7 @@ class TestDpllEnumerate:
 
         def run(walk, f, first):
             calls.clear()
-            budget = _Budget(10_000, "DPLL branching")
+            budget = Budget(10_000, "DPLL branching")
             gen = walk(f, budget)
             cubes = (next(gen, None),) if first else tuple(gen)
             return cubes, budget.used, len(calls)
@@ -480,7 +481,7 @@ class TestDpllEnumerate:
 
         def run(walk, f, limit):
             calls.clear()
-            budget = _Budget(limit, "DPLL branching")
+            budget = Budget(limit, "DPLL branching")
             cubes = []
             try:
                 cubes.extend(list(mu._bindings.items()) for mu in walk(f, budget))
@@ -508,7 +509,7 @@ class TestDpllEnumerate:
     def test_the_input_is_branched_on_unfolded(self, text, cubes, branches):
         f = parse(text)
         for walk in (_dpll_walk, ref_dpll_walk):
-            budget = _Budget(10, "DPLL branching")
+            budget = Budget(10, "DPLL branching")
             assert [str(mu) for mu in walk(f, budget)] == cubes
             assert budget.used == branches
 
@@ -524,7 +525,7 @@ class TestDpllEnumerate:
             runs = []
             for walk in (_dpll_walk, ref_dpll_walk):
                 calls.clear()
-                budget = _Budget(10_000, "DPLL branching")
+                budget = Budget(10_000, "DPLL branching")
                 runs.append((next(walk(f, budget), None), budget.used, len(calls)))
             assert runs[0] == runs[1] and runs[0][0] is None and runs[0][1] > 0
             assert dpll_first_assignment(f) is None
@@ -669,3 +670,23 @@ class TestVerifyEnumeration:
     def test_explicit_source_overrides_the_recorded_formula(self):
         result = obdd_enumerate(build_obdd(GAP), GAP)
         assert not verify_enumeration(result, f=parse("A1 & A2")).covers
+
+    def test_the_atom_cap_bounds_every_sweep(self, monkeypatch):
+        """Coverage is swept first, under the cap; a listing that passes it
+        has every cube's residual within the cap, so no per-cube check
+        sweeps more atoms or reaches the DPLL refutation."""
+        sweeps, refutations = [], []
+        sweep, refute = partial_sat.first_falsifying, enumeration.dpll_first_assignment
+        monkeypatch.setattr(partial_sat, "first_falsifying", lambda f, cap, **kw: sweeps.append(
+            (len(atoms(f)), cap)) or sweep(f, cap, **kw))
+        monkeypatch.setattr(enumeration, "dpll_first_assignment", lambda *a: refutations.append(
+            a) or refute(*a))
+        f = parse(" & ".join(["A1", *(f"(B{i} | !B{i})" for i in range(1, 22))]))
+        result = obdd_enumerate(build_obdd(f), f)
+        assert [str(mu.to_cube()) for mu in result.assignments] == ["A1"]
+        with pytest.raises(ResourceLimitError,
+                           match=r"^brute-force sweep over 22 atoms exceeds the cap of 4$"):
+            verify_enumeration(result, atom_cap=4)
+        assert sweeps == [] and refutations == []
+        assert verify_enumeration(result, atom_cap=22).ok
+        assert sweeps == [(21, 22)] and refutations == []
