@@ -113,9 +113,9 @@ def _operand_key(x: Formula, number: dict[int, int]):
     """An operand in a node's form: a literal by its printed form, a
     numbered node by its number (~number under a `Not`)."""
     if type(x) is AtomRef:
-        return x.atom.name
+        return x.atom
     if type(x) is Not:
-        return "!" + x.arg.atom.name if type(x.arg) is AtomRef else ~number[id(x.arg)]
+        return "!" + x.arg.atom if type(x.arg) is AtomRef else ~number[id(x.arg)]
     return number[id(x)]
 
 
@@ -153,7 +153,7 @@ def tseitin(f: Formula) -> TseitinResult:
             n = number[id(node)] = forms.setdefault(form, len(forms))
             if breaks and n > last:
                 last = n
-    used = {a.name for a in atoms(g)}
+    used = atoms(g)
     names = (f"B{i}" for i in count(1) if f"B{i}" not in used)
     fresh = tuple(Atom(next(names)) for _ in range(last + 1))
     definitions: list = [None] * len(fresh)
@@ -185,7 +185,7 @@ def strip_tautologies(f: Formula) -> Formula:
         raise ValueError("formula is not in CNF")
     kept: list[Formula] = []
     for clause, lits in pairs:
-        signed = {(lit.atom.name, lit.positive) for lit in lits}
+        signed = {(lit.atom, lit.positive) for lit in lits}
         if any((atom, not pos) in signed for atom, pos in signed):
             continue
         kept.append(clause)
@@ -278,15 +278,15 @@ def to_dimacs(f: Formula) -> str:
     pairs = _cnf_literals(f)
     if pairs is None:
         raise ValueError("formula is not in CNF")
-    numbering: dict[str, int] = {}  # by atom name, as an Atom's hash runs Python code
+    numbering: dict[Atom, int] = {}
     rows: list[list[int]] = []
     for _, lits in pairs:
         row = []
         for lit in lits:
-            code = numbering.setdefault(lit.atom.name, len(numbering) + 1)
+            code = numbering.setdefault(lit.atom, len(numbering) + 1)
             row.append(code if lit.positive else -code)
         rows.append(row)
-    lines = [f"c {idx} {name}" for name, idx in numbering.items()]
+    lines = [f"c {idx} {atom}" for atom, idx in numbering.items()]
     lines.append(f"p cnf {len(numbering)} {len(rows)}")
     lines.extend(" ".join(str(v) for v in row) + " 0" for row in rows)
     return "\n".join(lines) + "\n"

@@ -374,7 +374,7 @@ def _dpll_walk(f: Formula, budget: limits.Budget):
             if decision is not None:
                 atom, value = decision
                 trail = (trail, atom, value)
-                r, least = residual_least(r, {atom.name: value})
+                r, least = residual_least(r, {atom: value})
             kind = type(r)
             if kind is Const:
                 return _trail_assignment(trail) if r.value else None

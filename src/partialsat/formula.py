@@ -26,30 +26,29 @@ _RESERVED = {"true": "TRUE", "false": "FALSE", "exists": "EXISTS"}  # word: toke
 _init = object.__setattr__
 
 
-@total_ordering
-class Atom(Record):
-    """A propositional atom, identified by name; ordered lexicographically."""
+class Atom(str):
+    """A propositional atom: its name, a `str`, so that hashing, equality and
+    the lexicographic order are `str`'s and an atom and its name are the
+    same dict key.  Built only through the name checks, pickles included."""
 
-    __slots__ = ("name",)
+    __slots__ = ()
 
-    def __init__(self, name: str):
+    def __new__(cls, name: str):
         if not _ATOM_NAME.fullmatch(name):
             raise ValueError(f"invalid atom name: {name!r}")
         if name in _RESERVED:
             raise ValueError(f"reserved word cannot be an atom name: {name!r}")
-        _init(self, "name", name)
+        return str.__new__(cls, name)
 
-    def __eq__(self, other):
-        return self.name == other.name if type(other) is type(self) else NotImplemented
+    @property
+    def name(self) -> str:
+        return str(self)
 
-    def __hash__(self) -> int:
-        return hash(self.name)
+    def __repr__(self) -> str:
+        return f"Atom(name={str(self)!r})"
 
-    def __lt__(self, other: "Atom") -> bool:
-        return self.name < other.name
-
-    def __str__(self) -> str:
-        return self.name
+    def __reduce__(self):
+        return Atom, (str(self),)
 
 
 class Formula(Record):
@@ -156,26 +155,25 @@ class Literal(Record):
 
 
 def atoms(f: Formula) -> frozenset[Atom]:
-    """The set of atoms occurring in f.  They are gathered by name (an
-    Atom's hash runs Python code), so each is hashed once."""
-    found: dict[str, Atom] = {}
+    """The set of atoms occurring in f."""
+    found: set[Atom] = set()
     stack = [f]
     while stack:
         node = stack.pop()
         kind = type(node)
         if kind is AtomRef:
-            found[node.atom.name] = node.atom
+            found.add(node.atom)
         elif kind is Not:
             stack.append(node.arg)
         elif kind in _BINARY:
             stack += (node.left, node.right)
-    return frozenset(found.values())
+    return frozenset(found)
 
 
 def refuse_atoms(prefix: str, found: Iterable[Atom]) -> None:
     """The one atom-set refusal: raise ValueError(prefix + the sorted,
     comma-joined names) unless found is empty."""
-    names = sorted(a.name for a in found)
+    names = sorted(found)
     if names:
         raise ValueError(prefix + ", ".join(names))
 
@@ -277,9 +275,7 @@ def name_ref(refs: dict, name: str) -> AtomRef:
     parse).  The lexer already made it a valid, unreserved atom name."""
     ref = refs.get(name)
     if ref is None:
-        atom = object.__new__(Atom)
-        _init(atom, "name", name)
-        refs[name] = ref = AtomRef(atom)
+        refs[name] = ref = AtomRef(str.__new__(Atom, name))
     return ref
 
 
@@ -368,7 +364,7 @@ def format_formula(f: Formula) -> str:
         if kind is str:
             out.append(node)
         elif kind is AtomRef:
-            out.append(node.atom.name)
+            out.append(node.atom)
         elif kind is Const:
             out.append("true" if node.value else "false")
         elif kind is Not:
@@ -470,7 +466,7 @@ def classify(f: Formula) -> StructureReport:
     pairs = _cnf_literals(f)
     if pairs is None:
         return StructureReport(False, False, False, False, False)
-    signed = ({(lit.atom.name, lit.positive) for lit in lits} for _, lits in pairs)
+    signed = ({(lit.atom, lit.positive) for lit in lits} for _, lits in pairs)
     taut_free = not any((a, not pos) in seen for seen in signed for a, pos in seen)
     units = all(len(lits) == 1 for _, lits in pairs)
     return StructureReport(is_literal(f), len(pairs) == 1, units, True, taut_free)

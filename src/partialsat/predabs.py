@@ -70,15 +70,17 @@ class ModeComparison(Record):
 def problem_from_json(text: str) -> PredAbsProblem:
     """Load {base: "<formula>", predicates: [{label, def}]} from JSON text."""
     data = json.loads(text)
-    if not isinstance(data, dict) or "base" not in data:
-        raise ValueError("problem JSON must be an object with a 'base' key")
+    if not isinstance(data, dict) or not isinstance(data.get("base"), str):
+        raise ValueError("problem JSON must be an object with a string 'base'")
     base = parse(data["base"])
+    entries = data.get("predicates", [])
+    if not isinstance(entries, list):
+        raise ValueError("problem 'predicates' must be a list")
     predicates = []
-    for entry in data.get("predicates", []):
-        if not isinstance(entry, dict) or "label" not in entry or "def" not in entry:
-            raise ValueError(
-                "each predicate must be an object with 'label' and 'def' keys"
-            )
+    for entry in entries:
+        if not (isinstance(entry, dict) and isinstance(entry.get("label"), str)
+                and isinstance(entry.get("def"), str)):
+            raise ValueError("each predicate must be an object with string 'label' and 'def'")
         predicates.append((Atom(entry["label"]), parse(entry["def"])))
     return PredAbsProblem(base=base, predicates=tuple(predicates))
 

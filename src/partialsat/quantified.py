@@ -79,15 +79,14 @@ _BOUND = "assignment binds quantified atom(s): "
 def _tidy_disjunct(d: Formula) -> Formula:
     """Drop clauses subsumed by another clause of a CNF disjunct, or equal
     to an earlier one; non-CNF disjuncts are left alone.  A strict subset
-    is smaller, so each clause is tested only against the shorter ones.
-    Literals are keyed by (name, sign), whose hash runs no Python code."""
+    is smaller, so each clause is tested only against the shorter ones."""
     pairs = _cnf_literals(d)
     if pairs is None or len(pairs) < 2:
         return d
     first: dict[frozenset, Formula] = {}
     by_size: dict[int, list[frozenset]] = {}
     for clause, lits in pairs:
-        lits = frozenset([(lit.atom.name, lit.positive) for lit in lits])
+        lits = frozenset([(lit.atom, lit.positive) for lit in lits])
         if lits not in first:
             first[lits] = clause
             by_size.setdefault(len(lits), []).append(lits)

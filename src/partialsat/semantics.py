@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import functools
-from operator import attrgetter
 from typing import Iterator
 
 from .assignment import EMPTY_ASSIGNMENT, Assignment, total_assignments
@@ -68,15 +67,15 @@ def residual(f: Formula, mu: Assignment) -> Formula:
     """The residual f|mu: bound atoms replaced by constants, which are then
     propagated through the connectives exhaustively bottom-up, so it has no
     bound atom, and a constant only when it is itself `true` or `false`."""
-    return residual_least(f, {a.name: v for a, v in mu._bindings.items()})[0]
+    return residual_least(f, mu._bindings)[0]
 
 
-def residual_least(f: Formula, value: dict[str, bool]) -> tuple[Formula, Atom | None]:
-    """The residual of f under the atoms bound by name in `value`, with its
-    least atom by name (None for a constant), kept per operand on a stack
-    beside the values, so an operand folded away never gives one.  Iterative,
-    so depth is not bounded by the recursion limit; a right operand is skipped
-    once the left residual decides the node (`false` under & and ->, `true`
+def residual_least(f: Formula, value: dict[Atom, bool]) -> tuple[Formula, Atom | None]:
+    """The residual of f under the atoms bound in `value`, with its least
+    atom (None for a constant), kept per operand on a stack beside the
+    values, so an operand folded away never gives one.  Iterative, so depth
+    is not bounded by the recursion limit; a right operand is skipped once
+    the left residual decides the node (`false` under & and ->, `true`
     under |), and a node whose operands come back unchanged is not rebuilt."""
     get = value.get
     values: list[Formula] = []
@@ -86,7 +85,7 @@ def residual_least(f: Formula, value: dict[str, bool]) -> tuple[Formula, Atom | 
         node = todo.pop()
         kind = type(node)
         if kind is AtomRef:
-            v = get(node.atom.name)
+            v = get(node.atom)
             values.append(node if v is None else TRUE if v else FALSE)
             least.append(node.atom if v is None else None)
         elif kind is tuple:  # (node, its right operand or None), operands on top
@@ -112,7 +111,7 @@ def residual_least(f: Formula, value: dict[str, bool]) -> tuple[Formula, Atom | 
                 else:
                     same = a is node.left and b is node.right
                     values[-1] = node if same else kind(a, b)
-                    if low.name < least[-1].name:
+                    if low < least[-1]:
                         least[-1] = low
                     continue
             if rule is _KEEP:
@@ -169,15 +168,15 @@ _NOT, _AND, _OR, _IMPLIES, _IFF = range(5)
 _BINARY_OPCODE = {And: _AND, Or: _OR, Implies: _IMPLIES, Iff: _IFF}
 
 
-def _table(f: Formula, leaf: dict[str, int], full: int) -> int:
-    """Interval table of f from its atoms' tables, keyed by name (an Atom's
-    hash runs Python code per lookup): the rows where f is surely true in
-    the low half, those where it is possibly true in the high half.  While
-    every atom met is in `leaf` the half-width is 0 and this is the
-    two-valued table; the first atom missing from it widens the tables so
-    far and is unknown (low half 0, high half full).  Iterative, so depth
-    is not bounded by the recursion limit; a right operand is skipped when
-    the left one decides the node (0 under & and ->, full under |)."""
+def _table(f: Formula, leaf: dict[Atom, int], full: int) -> int:
+    """Interval table of f from its atoms' tables: the rows where f is
+    surely true in the low half, those where it is possibly true in the
+    high half.  While every atom met is in `leaf` the half-width is 0 and
+    this is the two-valued table; the first atom missing from it widens
+    the tables so far and is unknown (low half 0, high half full).
+    Iterative, so depth is not bounded by the recursion limit; a right
+    operand is skipped when the left one decides the node (0 under & and
+    ->, full under |)."""
     values: list[int] = []
     todo: list = [f]
     half = 0  # the half-width
@@ -186,14 +185,14 @@ def _table(f: Formula, leaf: dict[str, int], full: int) -> int:
         kind = type(node)
         if kind is AtomRef:
             try:
-                values.append(leaf[node.atom.name])
+                values.append(leaf[node.atom])
             except KeyError:  # neither swept nor fixed: unknown
                 if not half:
                     half = full.bit_length()
                     leaf = {k: v | v << half for k, v in leaf.items()}
                     values = [v | v << half for v in values]
                     full |= full << half
-                values.append(leaf.setdefault(node.atom.name, full >> half << half))
+                values.append(leaf.setdefault(node.atom, full >> half << half))
         elif kind is tuple:  # (opcode, right operand), left value on top
             op, a = node[0], values[-1]
             if op == _OR and a == full or op in (_AND, _IMPLIES) and a == 0:
@@ -231,10 +230,10 @@ def _sweep(f: Formula, avs: list[Atom], fixed: Assignment, b: int = 0) -> Iterat
     split = max(0, len(avs) - max(b, _CHUNK_ATOMS))
     chunk = avs[split:]
     full = (1 << (1 << len(chunk))) - 1
-    leaf = {a.name: mask for a, mask in zip(chunk, _row_masks(len(chunk)))}
+    leaf = dict(zip(chunk, _row_masks(len(chunk))))
     for prefix in total_assignments(avs[:split]) if split else (EMPTY_ASSIGNMENT,):
         for a, v in (*fixed._bindings.items(), *prefix._bindings.items()):
-            leaf[a.name] = full if v else 0
+            leaf[a] = full if v else 0
         yield prefix, chunk, _table(f, leaf, full)
 
 
@@ -283,11 +282,11 @@ def sat_total(f: Formula, eta: Assignment) -> bool:
     """Classical satisfaction by a total assignment over atoms(f)."""
     needed = atoms(f)
     refuse_atoms("assignment is not total for the formula: missing ", needed - eta.domain)
-    return _table(f, {a.name: int(eta.value(a)) for a in needed}, 1) == 1
+    return _table(f, {a: int(eta.value(a)) for a in needed}, 1) == 1
 
 
 def _sweep_atoms(f: Formula, atom_cap: int | None, found=None) -> list[Atom]:
-    avs = sorted(atoms(f) if found is None else found, key=attrgetter("name"))  # no __lt__ calls
+    avs = sorted(atoms(f) if found is None else found)
     limits.check(len(avs), limits.resolve("MAX_ATOMS", atom_cap), "brute-force sweep over {} atoms")
     return avs
 

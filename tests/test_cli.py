@@ -1,6 +1,7 @@
 """Command-line interface: verbs, output goldens, exit codes, determinism."""
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from partialsat import Atom, TruthValue3, eval3, parse, parse_assignment
 from partialsat import cli
 from partialsat.cli import run
 
+DATA = Path(__file__).parent / "data"
 GAP = "(A1 & A2) | (A1 & !A2)"
 CNF_OF_GAP = (
     "(B1 | B2) & (!B1 | A1) & (!B1 | A2) & (B1 | !A1 | !A2)"
@@ -478,6 +480,15 @@ class TestPredabsAndCompare:
         assert code == 2
         assert "base" in err
 
+    @pytest.mark.parametrize("verb", [("predabs", "--mode", "validating"), ("compare",)])
+    def test_a_field_of_the_wrong_type_exits_2(self, capsys, tmp_path, verb):
+        path = tmp_path / "bad.json"
+        path.write_text('{"base": "A1", "predicates": [{"label": 5, "def": "B1"}]}')
+        code, out, err = invoke(capsys, verb[0], "--problem", str(path), *verb[1:])
+        assert (code, out) == (2, "")
+        assert err == ("error: each predicate must be an object with"
+                       " string 'label' and 'def'\n")
+
     def test_compare_golden(self, capsys, problem_path):
         code, out, _ = invoke(capsys, "compare", "--problem", problem_path)
         assert code == 0
@@ -587,6 +598,22 @@ class TestDeterminism:
             first = invoke(capsys, *command)
             second = invoke(capsys, *command)
             assert first == second
+
+    def test_every_verb_matches_the_golden_transcript(self, capsys, monkeypatch, tmp_path):
+        # data/verbs.txt is each `$ partialsat ARGS` line followed by the
+        # stdout that ARGS printed, and data/gap.cnf the DIMACS file one of
+        # them wrote; CI replays the same lines through the installed script
+        golden = (DATA / "verbs.txt").read_text()
+        shutil.copy(DATA / "problem.json", tmp_path)
+        monkeypatch.chdir(tmp_path)
+        replayed = []
+        for line in golden.splitlines(keepends=True):
+            if line.startswith("$ partialsat "):
+                code, out, err = invoke(capsys, *shlex.split(line)[2:])
+                assert (code, err) == (0, ""), line
+                replayed += (line, out)
+        assert "".join(replayed) == golden
+        assert (tmp_path / "gap.cnf").read_bytes() == (DATA / "gap.cnf").read_bytes()
 
 
 class TestConsoleScript:

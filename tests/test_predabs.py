@@ -90,6 +90,16 @@ class TestProblemConstruction:
         with pytest.raises(ValueError):
             problem_from_json("not json")
 
+    @pytest.mark.parametrize("text, field", [
+        ('{"base": 5}', "'base'"),
+        ('{"base": "A1", "predicates": 5}', "'predicates'"),
+        ('{"base": "B1", "predicates": [{"label": 5, "def": "B1"}]}', "'label'"),
+        ('{"base": "B1", "predicates": [{"label": "A1", "def": ["A1"]}]}', "'def'"),
+    ])
+    def test_from_json_rejects_a_field_of_the_wrong_type(self, text, field):
+        with pytest.raises(ValueError, match=field):
+            problem_from_json(text)
+
 
 class TestEnumerationGoldens:
     def test_validating_mode(self):

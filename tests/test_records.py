@@ -155,6 +155,13 @@ def test_binary_connectives_differ_by_type():
 
 
 def test_atom_and_literal_order():
+    # an atom is its name: str's hash, equality and order, and a plain str
+    # wherever it is written out
+    for method in ("__hash__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+        assert getattr(Atom, method) is getattr(str, method)
+    assert isinstance(A1, str) and A1 == "A1" and hash(A1) == hash("A1")
+    assert {A1: 1}["A1"] == 1 and "A1" in {A1}
+    assert all(type(s) is str for s in (A1.name, str(A1), f"{A1}", "".join([A1])))
     assert sorted([A2, Atom("A10"), A1]) == [A1, Atom("A10"), A2]
     assert Atom("A1") <= Atom("A1") < Atom("B") and Atom("B") >= Atom("A1")
     lits = [Literal(A2), Literal(A1, False), Literal(A1)]
@@ -166,6 +173,15 @@ def test_atom_and_literal_order():
 def test_atom_rejects_bad_names(name):
     with pytest.raises(ValueError):
         Atom(name)
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_a_pickled_atom_is_rebuilt_through_the_name_checks(protocol):
+    assert A1.__reduce__() == (Atom, ("A1",))
+    data = pickle.dumps(Atom("Z9"), protocol)
+    assert pickle.loads(data) == Atom("Z9")
+    with pytest.raises(ValueError, match="invalid atom name"):
+        pickle.loads(data.replace(b"Z9", b"9Z"))
 
 
 def test_predicate_labels_are_checked():

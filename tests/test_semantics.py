@@ -338,8 +338,8 @@ class TestWalkerAgainstRecursiveOracles:
     def test_residual_least_matches_the_reference_walker(self):
         """The residual of the walker before it tracked atoms, sharing the
         same nodes of f, with its least atom, or None for a constant.
-        Atoms are looked up by name, so every other formula is reparsed:
-        its Atom objects are not mu's."""
+        Atoms are looked up by equality, not identity, so every other
+        formula is reparsed: its Atom objects are not mu's."""
         rng = random.Random(3102)
         leasts = set()
         for i in range(2000):
@@ -348,7 +348,7 @@ class TestWalkerAgainstRecursiveOracles:
             mu = random_partial_assignment(rng, pool)
             if i % 2:
                 f = parse(str(f))
-            r, least = residual_least(f, {a.name: v for a, v in mu._bindings.items()})
+            r, least = residual_least(f, mu._bindings)
             ref = oracles.ref_residual(f, mu)
             assert r == ref and _kept(r, f) == _kept(ref, f)
             assert least == (None if type(r) is Const else min(atoms(r)))
