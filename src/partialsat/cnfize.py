@@ -32,6 +32,7 @@ from .formula import (
     fold,
     is_literal,
     refuse_atoms,
+    tautological,
 )
 from .formula import classify  # noqa: F401 (perfbench wraps it)
 from .partial_sat import _entails_with_witness, entails, validates
@@ -180,18 +181,10 @@ def strip_tautologies(f: Formula) -> Formula:
     input collapses to true."""
     if isinstance(f, Const):
         return f
-    pairs = _cnf_literals(f)
-    if pairs is None:
+    clauses = _cnf_literals(f)
+    if clauses is None:
         raise ValueError("formula is not in CNF")
-    kept: list[Formula] = []
-    for clause, lits in pairs:
-        signed = {(lit.atom, lit.positive) for lit in lits}
-        if any((atom, not pos) in signed for atom, pos in signed):
-            continue
-        kept.append(clause)
-    if not kept:
-        return TRUE
-    return and_all(kept)
+    return and_all(clause for clause, pairs in clauses if not tautological(pairs))
 
 
 _FRESH_BOUND = "assignment binds fresh atom(s): "
@@ -275,16 +268,16 @@ def to_dimacs(f: Formula) -> str:
         return "p cnf 0 0\n"
     if f == FALSE:
         return "p cnf 0 1\n0\n"
-    pairs = _cnf_literals(f)
-    if pairs is None:
+    clauses = _cnf_literals(f)
+    if clauses is None:
         raise ValueError("formula is not in CNF")
     numbering: dict[Atom, int] = {}
     rows: list[list[int]] = []
-    for _, lits in pairs:
+    for _, pairs in clauses:
         row = []
-        for lit in lits:
-            code = numbering.setdefault(lit.atom, len(numbering) + 1)
-            row.append(code if lit.positive else -code)
+        for atom, positive in pairs:
+            code = numbering.setdefault(atom, len(numbering) + 1)
+            row.append(code if positive else -code)
         rows.append(row)
     lines = [f"c {idx} {atom}" for atom, idx in numbering.items()]
     lines.append(f"p cnf {len(numbering)} {len(rows)}")

@@ -26,6 +26,7 @@ from .formula import (
     TRUE,
     atoms,
     fold,
+    minimal,
     or_all,
     refuse_atoms,
 )
@@ -231,26 +232,21 @@ def obdd_enumerate(bdd: Obdd, f: Formula | None = None) -> EnumResult:
     """One partial assignment per root-to-true path, true branch first;
     each entails the formula the OBDD was built from."""
 
-    def step(path):  # (node, bindings so far); an edge into 0 is not pushed
-        node_id, bound = path
+    def step(path):  # (node, trail of bindings); an edge into 0 is not pushed
+        node_id, trail = path
         if node_id < 2:  # 0 only as an unsatisfiable root
-            return Assignment(bound) if node_id else None
+            return _trail_assignment(trail) if node_id else None
         level, low, high = bdd.node(node_id)
         atom = bdd.order[level]
         if not low:
-            return ((high, {**bound, atom: True}),)
+            return ((high, (trail, atom, True)),)
         if not high:
-            return ((low, {**bound, atom: False}),)
-        return (low, {**bound, atom: False}), (high, {**bound, atom: True})
+            return ((low, (trail, atom, False)),)
+        return (low, (trail, atom, False)), (high, (trail, atom, True))
 
-    collected = tuple(_search((bdd.root, {}), step))
+    collected = tuple(_search((bdd.root, None), step))
     source = f if f is not None else obdd_to_formula(bdd)
-    return EnumResult(
-        engine="obdd",
-        mode="entailing",
-        formula=source,
-        assignments=collected,
-    )
+    return EnumResult(engine="obdd", mode="entailing", formula=source, assignments=collected)
 
 
 def obdd_to_formula(bdd: Obdd) -> Formula:
@@ -345,16 +341,8 @@ def tableaux_enumerate(
 
     collected = tuple(_search(([fold(f, _desugar)], {}), step, budget))
     if dedup:
-        unique = list(dict.fromkeys(collected))
-        views = [mu._bindings.items() for mu in unique]
-        collected = tuple(mu for mu, view in zip(unique, views)
-                          if not any(other < view for other in views))
-    return EnumResult(
-        engine="tableaux",
-        mode="validating",
-        formula=f,
-        assignments=collected,
-    )
+        collected = tuple(minimal((mu, frozenset(mu._bindings.items())) for mu in collected))
+    return EnumResult(engine="tableaux", mode="validating", formula=f, assignments=collected)
 
 
 def _dpll_walk(f: Formula, budget: limits.Budget):

@@ -15,6 +15,7 @@ Precedence, tightest first: ! > & > | > -> > <->.
 from __future__ import annotations
 
 import re
+import sys
 from functools import total_ordering
 from typing import Iterable, Iterator
 
@@ -41,8 +42,8 @@ class Atom(str):
         return str.__new__(cls, name)
 
     @property
-    def name(self) -> str:
-        return str(self)
+    def name(self) -> str:  # a plain str, interned: one object per name
+        return sys.intern(str(self))
 
     def __repr__(self) -> str:
         return f"Atom(name={str(self)!r})"
@@ -387,16 +388,24 @@ class StructureReport(Record):
         self._set(is_literal, is_clause, is_cube, is_cnf, is_tautology_free_cnf)
 
 
+def _pair(f: Formula) -> tuple[Atom, bool] | None:
+    """The one literal test: a literal's `(atom, positive)` pair, else None.
+    Only the public views that return `Literal` records build them."""
+    kind = type(f)
+    if kind is AtomRef:
+        return f.atom, True
+    if kind is Not and type(f.arg) is AtomRef:
+        return f.arg.atom, False
+    return None
+
+
 def is_literal(f: Formula) -> bool:
-    return isinstance(f, AtomRef) or (isinstance(f, Not) and isinstance(f.arg, AtomRef))
+    return _pair(f) is not None
 
 
 def as_literal(f: Formula) -> Literal | None:
-    if isinstance(f, AtomRef):
-        return Literal(f.atom, True)
-    if isinstance(f, Not) and isinstance(f.arg, AtomRef):
-        return Literal(f.arg.atom, False)
-    return None
+    pair = _pair(f)
+    return None if pair is None else Literal(*pair)
 
 
 def _flatten(f: Formula, node_type: type) -> Iterator[Formula]:
@@ -410,47 +419,60 @@ def _flatten(f: Formula, node_type: type) -> Iterator[Formula]:
             yield node
 
 
-def _literals(f: Formula, node_type: type) -> list[Literal] | None:
-    lits = []
+def _pairs(f: Formula, node_type: type) -> list[tuple[Atom, bool]] | None:
+    pairs = []
     for leaf in _flatten(f, node_type):
-        lit = as_literal(leaf)
-        if lit is None:
+        pair = _pair(leaf)
+        if pair is None:
             return None
-        lits.append(lit)
-    return lits
+        pairs.append(pair)
+    return pairs
 
 
 def clause_literals(f: Formula) -> list[Literal] | None:
     """The literals of a clause (any association of the Or tree), else None."""
-    return _literals(f, Or)
+    pairs = _pairs(f, Or)
+    return None if pairs is None else [Literal(*pair) for pair in pairs]
 
 
 def cube_literals(f: Formula) -> list[Literal] | None:
     """The literals of a cube (any association of the And tree), else None."""
-    return _literals(f, And)
+    pairs = _pairs(f, And)
+    return None if pairs is None else [Literal(*pair) for pair in pairs]
 
 
-def _cnf_literals(f: Formula) -> list[tuple[Formula, list[Literal]]] | None:
-    """Each clause of a CNF formula (any association) with its literals,
-    else None."""
-    pairs = []
-    for clause in _flatten(f, And):
-        lits = clause_literals(clause)
-        if lits is None:
-            return None
-        pairs.append((clause, lits))
-    return pairs
+def _cnf_literals(f: Formula) -> list[tuple[Formula, list[tuple[Atom, bool]]]] | None:
+    """Each clause of a CNF formula (any association) with its literal pairs, else None."""
+    clauses = [(clause, _pairs(clause, Or)) for clause in _flatten(f, And)]
+    return None if any(pairs is None for _, pairs in clauses) else clauses
 
 
 def cnf_clauses(f: Formula) -> list[Formula] | None:
-    """The clauses of a CNF formula (any association), else None.
+    """The clauses of a CNF formula (any association), else None.  The
+    constants are not handled here; callers treat them separately."""
+    clauses = _cnf_literals(f)
+    return None if clauses is None else [clause for clause, _ in clauses]
 
-    The constants are not handled here; callers treat them separately.
-    Each leaf is tested with `is_literal`, so no `Literal` is built.
-    """
-    clauses = list(_flatten(f, And))
-    literal = all(is_literal(leaf) for clause in clauses for leaf in _flatten(clause, Or))
-    return clauses if literal else None
+
+def tautological(pairs: Iterable[tuple[Atom, bool]]) -> bool:
+    """The complementary-pair test: True when some atom occurs with both
+    signs, that is when there are more distinct pairs than atoms."""
+    signed = set(pairs)
+    return len(signed) > len(dict(signed))
+
+
+def minimal(items: Iterable[tuple[object, frozenset]]) -> list:
+    """The subsumption rule: of `(item, set)` pairs, the first item of each distinct set that
+    has no other set as a strict subset; a strict subset is smaller, so only those are tried."""
+    first: dict[frozenset, object] = {}
+    by_size: dict[int, list[frozenset]] = {}
+    for item, key in items:
+        if key not in first:
+            first[key] = item
+            by_size.setdefault(len(key), []).append(key)
+    return [item for key, item in first.items()
+            if not any(other < key for n, group in by_size.items() if n < len(key)
+                       for other in group)]
 
 
 def classify(f: Formula) -> StructureReport:
@@ -463,10 +485,9 @@ def classify(f: Formula) -> StructureReport:
     """
     if isinstance(f, Const):
         return StructureReport(False, False, False, True, True)
-    pairs = _cnf_literals(f)
-    if pairs is None:
+    clauses = _cnf_literals(f)
+    if clauses is None:
         return StructureReport(False, False, False, False, False)
-    signed = ({(lit.atom, lit.positive) for lit in lits} for _, lits in pairs)
-    taut_free = not any((a, not pos) in seen for seen in signed for a, pos in seen)
-    units = all(len(lits) == 1 for _, lits in pairs)
-    return StructureReport(is_literal(f), len(pairs) == 1, units, True, taut_free)
+    taut_free = not any(tautological(pairs) for _, pairs in clauses)
+    units = all(len(pairs) == 1 for _, pairs in clauses)
+    return StructureReport(is_literal(f), len(clauses) == 1, units, True, taut_free)

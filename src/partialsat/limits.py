@@ -1,10 +1,10 @@
 """Every budget and cap: its variable, its default and its rules.
 
 `resolve(name, explicit)` is the one resolution rule: the explicit value,
-else the PARTIALSAT_<name> environment variable, else `DEFAULTS[name]`; a
-call resolves each limit once and passes the integer down.  `check` is the
-one size-cap rule and `Budget` the one work-budget rule: nothing else
-raises ResourceLimitError."""
+else the PARTIALSAT_<name> environment variable, else `DEFAULTS[name]`,
+and never below 0; a call resolves each limit once and passes the integer
+down.  `check` is the one size-cap rule and `Budget` the one work-budget
+rule: nothing else raises ResourceLimitError."""
 import os
 
 from .errors import ResourceLimitError
@@ -31,8 +31,12 @@ def _from_env(name: str, default: int) -> int:
 
 
 def resolve(name: str, explicit: int | None = None) -> int:
-    """The limit `name` (a key of DEFAULTS): explicit > environment > default."""
-    return explicit if explicit is not None else _from_env(name, DEFAULTS[name])
+    """The limit `name` (a key of DEFAULTS): explicit > environment > default, never < 0."""
+    value = explicit if explicit is not None else _from_env(name, DEFAULTS[name])
+    if value < 0:
+        source = name if explicit is not None else _ENV_PREFIX + name
+        raise ValueError(f"{source} must not be negative, got {value}")
+    return value
 
 
 def check(count: int, cap: int, what: str) -> None:

@@ -18,6 +18,7 @@ from .formula import (
     and_all,
     atoms,
     expect,
+    minimal,
     name_ref,
     or_all,
     parse_error,
@@ -77,23 +78,13 @@ _BOUND = "assignment binds quantified atom(s): "
 
 
 def _tidy_disjunct(d: Formula) -> Formula:
-    """Drop clauses subsumed by another clause of a CNF disjunct, or equal
-    to an earlier one; non-CNF disjuncts are left alone.  A strict subset
-    is smaller, so each clause is tested only against the shorter ones."""
-    pairs = _cnf_literals(d)
-    if pairs is None or len(pairs) < 2:
+    """Keep the `minimal` clauses of a CNF disjunct, dropping repeated and
+    subsumed ones; a non-CNF disjunct is left alone."""
+    clauses = _cnf_literals(d)
+    if clauses is None or len(clauses) < 2:
         return d
-    first: dict[frozenset, Formula] = {}
-    by_size: dict[int, list[frozenset]] = {}
-    for clause, lits in pairs:
-        lits = frozenset([(lit.atom, lit.positive) for lit in lits])
-        if lits not in first:
-            first[lits] = clause
-            by_size.setdefault(len(lits), []).append(lits)
-    kept = [clause for lits, clause in first.items()
-            if not any(other < lits for n, group in by_size.items() if n < len(lits)
-                       for other in group)]
-    return d if len(kept) == len(pairs) else and_all(kept)
+    kept = minimal((clause, frozenset(pairs)) for clause, pairs in clauses)
+    return d if len(kept) == len(clauses) else and_all(kept)
 
 
 def shannon_expand(

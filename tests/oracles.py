@@ -11,7 +11,8 @@ was before it looked atoms up by name and tracked the least one.  The lexer buil
 with its line and column, and the parsers read it through a `TokenStream`,
 as they did before the lexer yielded bare tuples; `ref_verdict` takes the
 residual once for validation and again for entailment, and
-`ref_tidy_disjunct` compares every pair of a disjunct's clauses."""
+`ref_tidy_disjunct` and `ref_dedup` compare every pair of a disjunct's
+clauses or of a listing's cubes."""
 from __future__ import annotations
 
 import re
@@ -459,6 +460,16 @@ def ref_tableaux(f, branch_budget=None):
 
     expand([_desugar(f)], {})
     return tuple(collected)
+
+
+def ref_dedup(listing):
+    """`tableaux_enumerate(..., dedup=True)` of a listing as it was: the
+    first copy of each cube, unless another cube's bindings are a proper
+    subset of its own, every pair of cubes compared."""
+    unique = list(dict.fromkeys(listing))
+    views = [mu._bindings.items() for mu in unique]
+    return tuple(mu for mu, view in zip(unique, views)
+                 if not any(other < view for other in views))
 
 
 # ------------------------------------------------------------- structure

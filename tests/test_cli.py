@@ -585,6 +585,23 @@ class TestLimits:
         assert invoke(capsys, *command) == (
             2, "", f"error: PARTIALSAT_{name} must be an integer, got 'x'\n")
 
+    @pytest.mark.parametrize("variable, command, message", [
+        (None, ("check", "-f", "A1", "--max-atoms", "-1"),
+         "MAX_ATOMS must not be negative, got -1"),
+        (None, ("enumerate", "-f", "A1 | A2", "--engine", "dpll", "--verify", "--max-atoms", "-1"),
+         "MAX_ATOMS must not be negative, got -1"),
+        ("NODE_BUDGET", ("enumerate", "-f", "A1", "--engine", "dpll"),
+         "PARTIALSAT_NODE_BUDGET must not be negative, got -1"),
+        ("BRANCH_BUDGET", ("enumerate", "-f", "A1 | A2", "--engine", "tableaux"),
+         "PARTIALSAT_BRANCH_BUDGET must not be negative, got -1"),
+        ("SWEEP_CAP", ("cnfize", "-f", GAP), "PARTIALSAT_SWEEP_CAP must not be negative, got -1"),
+    ])
+    def test_a_negative_limit_exits_2(self, capsys, monkeypatch, variable, command, message):
+        # from a flag or a variable, whatever path the verb would take
+        if variable is not None:
+            monkeypatch.setenv("PARTIALSAT_" + variable, "-1")
+        assert invoke(capsys, *command) == (2, "", f"error: {message}\n")
+
 
 class TestDeterminism:
     def test_repeated_runs_are_byte_identical(self, capsys):

@@ -40,6 +40,7 @@ from gen import atom_pool, equivalent_variant, random_formula
 import oracles
 from oracles import (
     ref_build_obdd,
+    ref_dedup,
     ref_fold,
     ref_obdd_cubes,
     ref_obdd_to_formula,
@@ -357,26 +358,20 @@ class TestTableauxEnumerate:
                     assert run(iterative, f, budget) == run(ref_tableaux, f, budget)
 
     def test_dedup_matches_the_literal_set_rule(self):
-        """`dedup` keeps what the literal-set rule keeps: the first copy of
-        each cube, unless another cube's literals are a proper subset."""
-        def literal_set_rule(listing):
-            unique = []
-            for mu in listing:
-                if mu not in unique:
-                    unique.append(mu)
-            sets = [set(mu.literals()) for mu in unique]
-            return tuple(mu for mu, lits in zip(unique, sets)
-                         if not any(other < lits for other in sets))
-
+        """`dedup` keeps what the all-pairs literal-set rule keeps: the first
+        copy of each cube, unless another cube's literals are a proper
+        subset; the corpus drops both repeated and subsumed cubes."""
         rng = random.Random(7013)
-        dropped = 0
+        repeated = subsumed = 0
         for _ in range(400):
             f = random_formula(rng, atom_pool(rng.randint(1, 5)), max_depth=rng.randint(1, 5))
             listing = tableaux_enumerate(f).assignments
             kept = tableaux_enumerate(f, dedup=True).assignments
-            assert kept == literal_set_rule(listing)
-            dropped += len(listing) - len(kept)
-        assert dropped > 0
+            assert kept == ref_dedup(listing)
+            unique = set(listing)
+            repeated += len(listing) - len(unique)
+            subsumed += len(unique) - len(kept)
+        assert repeated > 0 and subsumed > 0
 
     def test_branch_disjunction_covers_the_formula(self):
         rng = random.Random(7005)

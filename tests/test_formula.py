@@ -25,6 +25,7 @@ from partialsat import (
     parse,
 )
 import partialsat as ps
+from partialsat import quantified
 from partialsat.formula import _cnf_literals, tokenize
 from gen import atom_pool, random_formula
 from oracles import ref_classify, ref_parse
@@ -469,13 +470,34 @@ class TestClassify:
 
 class TestCnfClauses:
     def test_builds_no_literal_records(self, monkeypatch):
+        """Inside the package a literal is an (atom, sign) pair: the readers,
+        the tautology and subsumption rules and the cube trails build no
+        `Literal`; only the public views that return one do."""
         built = []
         init = Literal.__init__
         monkeypatch.setattr(Literal, "__init__", lambda self, *args: built.append(args)
                             or init(self, *args))
         clauses = [Or(AtomRef(Atom(f"A{i}")), Not(AtomRef(Atom(f"B{i}")))) for i in range(1000)]
-        assert cnf_clauses(and_all(clauses)) == clauses
-        assert built == []
+        cnf = and_all(clauses)
+        subsumed = parse("(A1 | A2) & A1 & (A1 | !A2) & (A1 | A2) & (A2 | !A2)")
+        listing = parse("(A1 & A2) | A1 | (A1 & A2) | (!A1 & A3)")
+        calls = [
+            (lambda: cnf_clauses(cnf), clauses),
+            (lambda: [c for c, _ in _cnf_literals(cnf)], clauses),
+            (lambda: classify(subsumed).is_tautology_free_cnf, False),
+            (lambda: str(ps.strip_tautologies(subsumed)),
+             "(A1 | A2) & A1 & (A1 | !A2) & (A1 | A2)"),
+            (lambda: ps.to_dimacs(subsumed).count("\n"), 8),
+            (lambda: str(quantified._tidy_disjunct(subsumed)), "A1 & (A2 | !A2)"),
+            (lambda: len(ps.tableaux_enumerate(listing, dedup=True).assignments), 2),
+            (lambda: len(ps.obdd_enumerate(ps.build_obdd(listing)).assignments), 2),
+        ]
+        for call, expected in calls:
+            assert call() == expected
+            assert built == []
+        lits = ps.clause_literals(parse("A1 | !A2"))
+        assert built == [(A1, True), (A2, False)]
+        assert lits == [Literal(A1), Literal(A2, False)]
 
     def test_matches_the_clauses_of_cnf_literals(self):
         rng = random.Random(1004)

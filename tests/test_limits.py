@@ -146,6 +146,33 @@ def test_resolve_prefers_explicit_then_environment_then_default(monkeypatch):
         assert limits.resolve(name, 0) == 0
 
 
+def test_resolve_refuses_a_negative_value_wherever_it_comes_from(monkeypatch):
+    for name in limits.DEFAULTS:
+        monkeypatch.delenv("PARTIALSAT_" + name, raising=False)
+        with pytest.raises(ValueError, match=f"^{name} must not be negative, got -1$"):
+            limits.resolve(name, -1)
+        assert limits.resolve(name, 0) == 0
+        monkeypatch.setenv("PARTIALSAT_" + name, "-2")
+        with pytest.raises(ValueError,
+                           match=f"^PARTIALSAT_{name} must not be negative, got -2$"):
+            limits.resolve(name)
+        assert limits.resolve(name, 5) == 5  # an explicit value skips the variable
+        monkeypatch.setenv("PARTIALSAT_" + name, "0")
+        assert limits.resolve(name) == 0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: tableaux_enumerate(GAP3, branch_budget=-1),
+    lambda: build_obdd(GAP3, None, -1),
+    lambda: verify_enumeration(LISTINGS[0], atom_cap=-1),
+    lambda: shannon_expand(EF, expansion_cap=-1),
+    lambda: check_validation_loss(parse_assignment("A1, A2"), GAP3, sweep_cap=-1),
+], ids=["branch_budget", "node_budget", "atom_cap", "expansion_cap", "sweep_cap"])
+def test_a_negative_explicit_limit_is_a_value_error(call):
+    with pytest.raises(ValueError, match="must not be negative, got -1$"):
+        call()
+
+
 def test_a_budget_raises_on_the_unit_past_its_limit():
     budget = limits.Budget(2, "OBDD construction", "node budget")
     budget.spend()

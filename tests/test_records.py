@@ -162,6 +162,7 @@ def test_atom_and_literal_order():
     assert isinstance(A1, str) and A1 == "A1" and hash(A1) == hash("A1")
     assert {A1: 1}["A1"] == 1 and "A1" in {A1}
     assert all(type(s) is str for s in (A1.name, str(A1), f"{A1}", "".join([A1])))
+    assert Atom("A1").name is Atom("A1").name  # interned: one object per name
     assert sorted([A2, Atom("A10"), A1]) == [A1, Atom("A10"), A2]
     assert Atom("A1") <= Atom("A1") < Atom("B") and Atom("B") >= Atom("A1")
     lits = [Literal(A2), Literal(A1, False), Literal(A1)]
