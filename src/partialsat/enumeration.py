@@ -24,6 +24,7 @@ from .formula import (
     Not,
     Or,
     TRUE,
+    _pair,
     atoms,
     fold,
     minimal,
@@ -246,7 +247,12 @@ def obdd_enumerate(bdd: Obdd, f: Formula | None = None) -> EnumResult:
 
     collected = tuple(_search((bdd.root, None), step))
     source = f if f is not None else obdd_to_formula(bdd)
-    return EnumResult(engine="obdd", mode="entailing", formula=source, assignments=collected)
+    return EnumResult(
+        engine="obdd",
+        mode="entailing",
+        formula=source,
+        assignments=collected,
+    )
 
 
 def obdd_to_formula(bdd: Obdd) -> Formula:
@@ -342,7 +348,12 @@ def tableaux_enumerate(
     collected = tuple(_search(([fold(f, _desugar)], {}), step, budget))
     if dedup:
         collected = tuple(minimal((mu, frozenset(mu._bindings.items())) for mu in collected))
-    return EnumResult(engine="tableaux", mode="validating", formula=f, assignments=collected)
+    return EnumResult(
+        engine="tableaux",
+        mode="validating",
+        formula=f,
+        assignments=collected,
+    )
 
 
 def _dpll_walk(f: Formula, budget: limits.Budget):
@@ -363,15 +374,13 @@ def _dpll_walk(f: Formula, budget: limits.Budget):
                 atom, value = decision
                 trail = (trail, atom, value)
                 r, least = residual_least(r, {atom: value})
-            kind = type(r)
-            if kind is Const:
+            if type(r) is Const:
                 return _trail_assignment(trail) if r.value else None
-            if kind is AtomRef:
-                decision = (r.atom, True)
-            elif kind is Not and type(r.arg) is AtomRef:
-                decision = (r.arg.atom, False)
-            elif least is None:  # an atom-free input that is not yet folded
-                r, decision = residual(r, Assignment()), None
+            decision = _pair(r)  # a literal residual is forced
+            if decision is not None:
+                continue
+            if least is None:  # an atom-free input that is not yet folded
+                r = residual(r, Assignment())
             else:
                 return (trail, r, least, (least, False)), (trail, r, least, (least, True))
 

@@ -442,9 +442,15 @@ def cube_literals(f: Formula) -> list[Literal] | None:
 
 
 def _cnf_literals(f: Formula) -> list[tuple[Formula, list[tuple[Atom, bool]]]] | None:
-    """Each clause of a CNF formula (any association) with its literal pairs, else None."""
-    clauses = [(clause, _pairs(clause, Or)) for clause in _flatten(f, And)]
-    return None if any(pairs is None for _, pairs in clauses) else clauses
+    """Each clause of a CNF formula (any association) with its literal pairs,
+    else None."""
+    clauses = []
+    for clause in _flatten(f, And):
+        pairs = _pairs(clause, Or)
+        if pairs is None:
+            return None
+        clauses.append((clause, pairs))
+    return clauses
 
 
 def cnf_clauses(f: Formula) -> list[Formula] | None:

@@ -3,8 +3,10 @@
 `resolve(name, explicit)` is the one resolution rule: the explicit value,
 else the PARTIALSAT_<name> environment variable, else `DEFAULTS[name]`,
 and never below 0; a call resolves each limit once and passes the integer
-down.  `check` is the one size-cap rule and `Budget` the one work-budget
-rule: nothing else raises ResourceLimitError."""
+down, and `refuse_negative` refuses a negative argument on entry where a
+call may answer without resolving it.  `check` is the one size-cap rule
+and `Budget` the one work-budget rule: nothing else raises
+ResourceLimitError."""
 import os
 
 from .errors import ResourceLimitError
@@ -37,6 +39,14 @@ def resolve(name: str, explicit: int | None = None) -> int:
         source = name if explicit is not None else _ENV_PREFIX + name
         raise ValueError(f"{source} must not be negative, got {value}")
     return value
+
+
+def refuse_negative(**explicit: int | None) -> None:
+    """Refuse an explicit limit below 0 on entry to a call that may answer
+    without resolving it, as `resolve` would; reads no environment variable."""
+    for name, value in explicit.items():
+        if value is not None:
+            resolve(name, value)
 
 
 def check(count: int, cap: int, what: str) -> None:

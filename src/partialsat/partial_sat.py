@@ -64,6 +64,7 @@ def _entails_with_witness(
     first falsifying extension when it fails."""
     if backend not in _BACKENDS:
         raise ValueError(f"unknown entailment backend: {backend!r}")
+    limits.refuse_negative(MAX_ATOMS=atom_cap, BRANCH_BUDGET=branch_budget)
     if r is None:
         r = residual(f, mu)
     if r is TRUE:

@@ -99,6 +99,7 @@ def shannon_expand(
     disjunct has subsumed clauses removed.  An empty bound set returns the
     matrix unchanged.
     """
+    limits.refuse_negative(EXPANSION_CAP=expansion_cap)
     if not ef.quantified:
         return ef.matrix
     limits.check(len(ef.quantified), limits.resolve("EXPANSION_CAP", expansion_cap), _EXPANDING)
@@ -139,6 +140,7 @@ def exists_entails(
     free atoms then the bound ones, eta fails iff its 2^|B|-row block is
     empty.
     """
+    limits.refuse_negative(MAX_ATOMS=atom_cap)
     refuse_atoms(_BOUND, mu.domain & ef.quantified)
     limits.check(len(ef.quantified), limits.resolve("EXPANSION_CAP", expansion_cap), _EXPANDING)
     unassigned = sorted(ef.free_atoms - mu.domain)

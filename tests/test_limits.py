@@ -161,13 +161,27 @@ def test_resolve_refuses_a_negative_value_wherever_it_comes_from(monkeypatch):
         assert limits.resolve(name) == 0
 
 
+_A1, _A1A2 = parse_assignment("A1"), parse_assignment("A1, A2")  # GAP3|A1A2 is true
+
+
 @pytest.mark.parametrize("call", [
     lambda: tableaux_enumerate(GAP3, branch_budget=-1),
     lambda: build_obdd(GAP3, None, -1),
     lambda: verify_enumeration(LISTINGS[0], atom_cap=-1),
     lambda: shannon_expand(EF, expansion_cap=-1),
-    lambda: check_validation_loss(parse_assignment("A1, A2"), GAP3, sweep_cap=-1),
-], ids=["branch_budget", "node_budget", "atom_cap", "expansion_cap", "sweep_cap"])
+    lambda: check_validation_loss(_A1A2, GAP3, sweep_cap=-1),
+    # each call below would answer, or fail otherwise, without resolving that limit
+    lambda: entails(_A1A2, GAP3, atom_cap=-1),
+    lambda: entails(_A1, GAP3, backend="dpll", atom_cap=-1),
+    lambda: entails(_A1, GAP3, branch_budget=-1),
+    lambda: verdict(_A1A2, GAP3, atom_cap=-1),
+    lambda: extend_to_validating(_A1A2, GAP3, branch_budget=-1),
+    lambda: cnf_equivalence_check(_A1, parse("A1 & (A1 | A2)"), atom_cap=-1),
+    lambda: shannon_expand(parse_existential("A1 & A2"), expansion_cap=-1),
+    lambda: exists_entails(parse_assignment("B1"), EF, atom_cap=-1),
+], ids=["branch_budget", "node_budget", "atom_cap", "expansion_cap", "sweep_cap",
+        "constant_residual", "dpll_backend", "sweep_decides", "verdict", "extend",
+        "cnf_equivalence", "nothing_quantified", "before_other_checks"])
 def test_a_negative_explicit_limit_is_a_value_error(call):
     with pytest.raises(ValueError, match="must not be negative, got -1$"):
         call()
