@@ -219,7 +219,7 @@ def _run_enumerate(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     if args.dedup and args.engine != "tableaux":
         raise ValueError("--dedup applies only to --engine tableaux")
     if args.engine == "obdd":
-        order = _parse_order(args.order) if args.order else None
+        order = None if args.order is None else _parse_order(args.order)
         result = obdd_enumerate(build_obdd(f, order, args.node_budget), f)
     elif args.engine == "tableaux":
         result = tableaux_enumerate(f, args.branch_budget, dedup=args.dedup)
@@ -254,6 +254,8 @@ def _run_cnfize(args: argparse.Namespace) -> tuple[dict, list[str], int]:
                 for atom, definition in result.definitions
             ],
         }, [cnf], 0
+    if args.dimacs_out is not None:
+        raise ValueError("--dimacs-out applies only without --check-loss")
     mu = parse_assignment(args.assign)
     if args.check_loss == "validating":
         report = check_validation_loss(mu, f, args.sweep_cap)

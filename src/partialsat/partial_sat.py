@@ -49,21 +49,15 @@ def _fill_false(universe: set[Atom], bound: Assignment) -> Assignment:
     return bound.union(Assignment(rest))
 
 
-_BACKENDS = ("auto", "brute", "dpll")
-
-
 def _entails_with_witness(
     mu: Assignment,
     f: Formula,
-    backend: str = "auto",
     atom_cap: int | None = None,
     branch_budget: int | None = None,
     r: Formula | None = None,
 ) -> tuple[bool, Assignment | None]:
     """mu ⊨ f, decided on r = f|mu (taken here when not given), with the
     first falsifying extension when it fails."""
-    if backend not in _BACKENDS:
-        raise ValueError(f"unknown entailment backend: {backend!r}")
     limits.refuse_negative(MAX_ATOMS=atom_cap, BRANCH_BUDGET=branch_budget)
     if r is None:
         r = residual(f, mu)
@@ -72,8 +66,8 @@ def _entails_with_witness(
     rho = None
     if r is not FALSE:
         found = atoms(r)
-        cap = None if backend == "dpll" else limits.resolve("MAX_ATOMS", atom_cap)  # read once
-        if backend == "brute" or backend == "auto" and len(found) <= cap:
+        cap = limits.resolve("MAX_ATOMS", atom_cap)  # read once
+        if len(found) <= cap:
             rho = first_falsifying(r, cap, _atoms=found)
         else:
             # a validating cube of ¬r binds only atoms of r and falsifies r
@@ -87,31 +81,29 @@ def _entails_with_witness(
 def entails(
     mu: Assignment,
     f: Formula,
-    backend: str = "auto",
     atom_cap: int | None = None,
     branch_budget: int | None = None,
 ) -> bool:
     """True iff every total extension of mu satisfies f.
 
     Decided by checking validity of the residual f|mu: an exhaustive sweep
-    when the residual is small enough, otherwise by refuting its negation
-    with the DPLL engine.  A blown budget raises ResourceLimitError, never
+    when the residual has at most `atom_cap` atoms, otherwise by refuting
+    its negation with the DPLL engine.  A blown budget raises ResourceLimitError, never
     returns false.
     """
-    return _entails_with_witness(mu, f, backend, atom_cap, branch_budget)[0]
+    return _entails_with_witness(mu, f, atom_cap, branch_budget)[0]
 
 
 def verdict(
     mu: Assignment,
     f: Formula,
-    backend: str = "auto",
     atom_cap: int | None = None,
     branch_budget: int | None = None,
 ) -> SatVerdict:
     """Both checks at once, on one residual f|mu, with a falsifying
     extension when entails fails."""
     r = residual(f, mu)
-    e, witness = _entails_with_witness(mu, f, backend, atom_cap, branch_budget, r)
+    e, witness = _entails_with_witness(mu, f, atom_cap, branch_budget, r)
     assert e or r is not TRUE, "validation must imply entailment"
     return SatVerdict(validates=r is TRUE, entails=e, witness=witness)
 
@@ -133,7 +125,6 @@ def most_frequent_atom(f: Formula) -> Atom | None:
 def extend_to_validating(
     mu: Assignment,
     f: Formula,
-    backend: str = "auto",
     atom_cap: int | None = None,
     branch_budget: int | None = None,
 ) -> Assignment:
@@ -144,8 +135,8 @@ def extend_to_validating(
     minimal only by construction (the extension stops as soon as the residual
     reaches `true`); no global minimality is attempted.
     """
-    r = residual(f, mu) if backend in _BACKENDS else None  # a bad backend raises first
-    if not _entails_with_witness(mu, f, backend, atom_cap, branch_budget, r)[0]:
+    r = residual(f, mu)
+    if not _entails_with_witness(mu, f, atom_cap, branch_budget, r)[0]:
         raise ValueError("precondition violated: mu does not entail f")
     current = mu
     while r != TRUE:
@@ -161,14 +152,13 @@ def extend_to_validating(
 def cnf_equivalence_check(
     mu: Assignment,
     f: Formula,
-    backend: str = "auto",
     atom_cap: int | None = None,
+    branch_budget: int | None = None,
 ) -> bool:
     """On tautology-free CNF the two notions coincide; check both and return
     the shared value."""
     if not classify(f).is_tautology_free_cnf:
         raise ValueError("formula must be tautology-free CNF")
-    r = residual(f, mu)
-    e = _entails_with_witness(mu, f, backend, atom_cap, None, r)[0]
-    assert e == (r is TRUE), "validation and entailment must coincide on tautology-free CNF"
-    return e
+    v = verdict(mu, f, atom_cap=atom_cap, branch_budget=branch_budget)
+    assert v.entails == v.validates, "validation and entailment must coincide on tautology-free CNF"
+    return v.entails

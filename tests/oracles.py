@@ -304,11 +304,11 @@ def ref_residual(f, mu):
 
 # --------------------------------------------------------------- verdict
 
-def ref_verdict(mu, f, backend="auto", atom_cap=None, branch_budget=None):
+def ref_verdict(mu, f, atom_cap=None, branch_budget=None):
     """`verdict` with the residual taken by `validates` and again by the
     entailment check."""
     return SatVerdict(validates(mu, f),
-                      *_entails_with_witness(mu, f, backend, atom_cap, branch_budget))
+                      *_entails_with_witness(mu, f, atom_cap, branch_budget))
 
 
 # ------------------------------------------------------- fold and repr

@@ -255,8 +255,8 @@ def test_criterion_7_entailment_backends_agree():
         for _ in range(2):
             mu = random_partial_assignment(rng, pool)
             expected = brute_valid(residual(f, mu))
-            assert entails(mu, f, backend="brute") == expected
-            assert entails(mu, f, backend="dpll") == expected
+            assert entails(mu, f) == expected
+            assert entails(mu, f, atom_cap=0) == expected
 
 
 @lru_cache(maxsize=None)
@@ -283,7 +283,7 @@ def test_dpll_refutation_agrees_with_the_sweep_at_12_to_14_atoms():
             mu = random_partial_assignment(rng, pool, bind_chance)
             expected = brute_valid(residual(f, mu))
             outcomes.add(expected)
-            for options in ({"backend": "dpll"}, {"atom_cap": 3}):
+            for options in ({"atom_cap": 0}, {"atom_cap": 3}):
                 v = verdict(mu, f, **options)
                 assert v.entails == expected, (str(f), str(mu), options)
                 if not expected:
@@ -299,4 +299,4 @@ def test_dpll_refutation_decides_a_40_atom_chain_within_1000_branches():
     and refuting its negation needs no exhaustive search."""
     a = [AtomRef(atom) for atom in atom_pool(40)]
     chain = Implies(and_all(Implies(p, q) for p, q in zip(a, a[1:])), Implies(a[0], a[-1]))
-    assert entails(EMPTY_ASSIGNMENT, chain, backend="dpll", branch_budget=1000) is True
+    assert entails(EMPTY_ASSIGNMENT, chain, atom_cap=0, branch_budget=1000) is True

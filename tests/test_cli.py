@@ -236,6 +236,13 @@ class TestEnumerate:
         assert code == 2
         assert "--order" in err
 
+    def test_an_empty_order_is_refused(self, capsys):
+        code, out, err = invoke(
+            capsys, "enumerate", "-f", "A1", "--engine", "obdd", "--order", ""
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --order must list at least one atom name\n"
+
     def test_order_must_cover_the_atoms(self, capsys):
         code, _, err = invoke(
             capsys, "enumerate", "-f", "A1 & A2", "--engine", "obdd", "--order", "A1"
@@ -324,6 +331,16 @@ class TestCnfize:
             "c 1 A1\nc 2 B1\nc 3 A2\nc 4 A3\n"
             "p cnf 4 4\n1 2 0\n-2 3 0\n-2 4 0\n2 -3 -4 0\n"
         )
+
+    def test_dimacs_out_is_refused_with_a_loss_check(self, capsys, tmp_path):
+        path = tmp_path / "out.cnf"
+        code, out, err = invoke(
+            capsys, "cnfize", "-f", "(A1 & A2) | A3", "-a", "A3",
+            "--check-loss", "validating", "--dimacs-out", str(path),
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --dimacs-out applies only without --check-loss\n"
+        assert not path.exists()
 
     def test_validation_loss_golden(self, capsys):
         code, out, _ = invoke(

@@ -61,11 +61,13 @@ CALLS = [
     (check_entailment_loss, lambda: check_entailment_loss(A1, GAP3)),
     (check_validation_loss, lambda: check_validation_loss(parse_assignment("A1, A2"), GAP3)),
     (cnf_equivalence_check, lambda: cnf_equivalence_check(A1, parse("(A1 | A2) & (A3 | A4)"))),
+    (cnf_equivalence_check,
+     lambda: cnf_equivalence_check(A1, parse("(A2 | A3) & (A4 | A5)"), atom_cap=0)),
     (compare_modes, lambda: compare_modes(PROBLEM)),
     (dpll_enumerate, lambda: dpll_enumerate(GAP3)),
     (dpll_first_assignment, lambda: dpll_first_assignment(GAP3)),
     (entails, lambda: entails(A1, GAP3)),
-    (entails, lambda: entails(A1, GAP3, backend="dpll")),
+    (entails, lambda: entails(A1, GAP3, atom_cap=0)),
     (enumerate_abstraction, lambda: enumerate_abstraction(PROBLEM, "validating")),
     (enumerate_abstraction, lambda: enumerate_abstraction(PROBLEM, "entailing")),
     (exists_entails, lambda: exists_entails(EMPTY_ASSIGNMENT, EF)),
@@ -170,9 +172,9 @@ _A1, _A1A2 = parse_assignment("A1"), parse_assignment("A1, A2")  # GAP3|A1A2 is 
     lambda: verify_enumeration(LISTINGS[0], atom_cap=-1),
     lambda: shannon_expand(EF, expansion_cap=-1),
     lambda: check_validation_loss(_A1A2, GAP3, sweep_cap=-1),
+    lambda: entails(_A1, GAP3, atom_cap=0, branch_budget=-1),  # the DPLL refutation
     # each call below would answer, or fail otherwise, without resolving that limit
     lambda: entails(_A1A2, GAP3, atom_cap=-1),
-    lambda: entails(_A1, GAP3, backend="dpll", atom_cap=-1),
     lambda: entails(_A1, GAP3, branch_budget=-1),
     lambda: verdict(_A1A2, GAP3, atom_cap=-1),
     lambda: extend_to_validating(_A1A2, GAP3, branch_budget=-1),
@@ -180,7 +182,7 @@ _A1, _A1A2 = parse_assignment("A1"), parse_assignment("A1, A2")  # GAP3|A1A2 is 
     lambda: shannon_expand(parse_existential("A1 & A2"), expansion_cap=-1),
     lambda: exists_entails(parse_assignment("B1"), EF, atom_cap=-1),
 ], ids=["branch_budget", "node_budget", "atom_cap", "expansion_cap", "sweep_cap",
-        "constant_residual", "dpll_backend", "sweep_decides", "verdict", "extend",
+        "dpll_backend", "constant_residual", "sweep_decides", "verdict", "extend",
         "cnf_equivalence", "nothing_quantified", "before_other_checks"])
 def test_a_negative_explicit_limit_is_a_value_error(call):
     with pytest.raises(ValueError, match="must not be negative, got -1$"):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from partialsat import limits, partial_sat, semantics
+from partialsat import enumeration, limits, partial_sat, semantics
 from partialsat import (
     Assignment,
     Atom,
@@ -179,18 +179,14 @@ class TestTautologyFreeCnfCollapse:
 
 
 class TestBackends:
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            entails(EMPTY_ASSIGNMENT, parse("A1"), backend="bogus")
-
     def test_brute_and_dpll_agree(self):
         rng = random.Random(4007)
         pool = atom_pool(5)
         for _ in range(150):
             f = random_formula(rng, pool, max_depth=4)
             mu = random_partial_assignment(rng, pool)
-            b = entails(mu, f, backend="brute")
-            assert entails(mu, f, backend="dpll") == b
+            b = entails(mu, f)
+            assert entails(mu, f, atom_cap=0) == b
 
     def test_dpll_witness_is_sound(self):
         rng = random.Random(4008)
@@ -200,8 +196,8 @@ class TestBackends:
             f = random_formula(rng, pool, max_depth=4)
             mu = random_partial_assignment(rng, pool)
             e, eta = (
-                verdict(mu, f, backend="dpll").entails,
-                verdict(mu, f, backend="dpll").witness,
+                verdict(mu, f, atom_cap=0).entails,
+                verdict(mu, f, atom_cap=0).witness,
             )
             if not e:
                 seen_failure = True
@@ -213,15 +209,27 @@ class TestBackends:
         assert entails(EMPTY_ASSIGNMENT, f, atom_cap=2) is False
         assert entails(parse_assignment("A1, A2"), f, atom_cap=2) is True
 
-    def test_brute_respects_the_atom_cap(self):
-        f = parse("(A1 & A2) | (A3 & A4) | (A5 & A6)")
-        with pytest.raises(ResourceLimitError):
-            entails(EMPTY_ASSIGNMENT, f, backend="brute", atom_cap=3)
+    def test_the_atom_cap_alone_picks_the_procedure(self, monkeypatch):
+        """A residual of at most `atom_cap` atoms is swept, a larger one is
+        refuted by DPLL; either procedure alone gives the answer."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the other procedure ran")
+
+        f = parse("(A1 & A2) | (A1 & !A2) | (A3 & A4)")
+        for mu, expected in ((EMPTY_ASSIGNMENT, False), (parse_assignment("A1"), True)):
+            n = len(atoms(residual(f, mu)))
+            with monkeypatch.context() as patched:
+                patched.setattr(enumeration, "dpll_first_assignment", refuse)
+                assert entails(mu, f, atom_cap=n) is expected
+            with monkeypatch.context() as patched:
+                patched.setattr(partial_sat, "first_falsifying", refuse)
+                for cap in (n - 1, 0):
+                    assert entails(mu, f, atom_cap=cap) is expected
 
     def test_blown_branch_budget_raises_rather_than_lies(self):
         f = parse("(A1 & A2) | (A3 & A4)")
         with pytest.raises(ResourceLimitError):
-            entails(EMPTY_ASSIGNMENT, f, backend="dpll", branch_budget=0)
+            entails(EMPTY_ASSIGNMENT, f, atom_cap=0, branch_budget=0)
 
 
 class TestMostFrequentAtom:
@@ -267,17 +275,17 @@ class TestExtendToValidating:
 
 class TestOneResidualPerCheck:
     def test_verdict_matches_the_two_residual_verdict(self):
-        """Seeded (f, mu) pairs over 1-14 atoms with constants, on every
-        backend with random atom caps and branch budgets: equal verdicts,
-        witness included, or the same error."""
+        """Seeded (f, mu) pairs over 1-14 atoms with constants, on both
+        sides of random atom caps and with random branch budgets: equal
+        verdicts, witness included, or the same error."""
         rng = random.Random(4010)
         kinds = collections.Counter()
         for _ in range(3_000):
             pool = atom_pool(rng.randint(1, 14))
             f = random_formula(rng, pool, max_depth=rng.randint(0, 7), const_chance=0.15)
             mu = random_partial_assignment(rng, pool + atom_pool(2, "X"), rng.random() * 0.7)
-            args = (mu, f, rng.choice(("auto", "brute", "dpll")),
-                    rng.choice((None, rng.randint(0, 6))), rng.choice((None, rng.randint(0, 8))))
+            args = (mu, f, rng.choice((None, rng.randint(0, 6))),
+                    rng.choice((None, rng.randint(0, 4))))
             ours = outcome(verdict, *args)
             assert ours == outcome(ref_verdict, *args), args
             v = ours[1]
@@ -320,10 +328,5 @@ class TestOneResidualPerCheck:
             verdict(parse_assignment("A1"), f)
             assert reads == ["MAX_ATOMS"]
         reads.clear()
-        entails(parse_assignment("A1"), GAP, backend="dpll")
+        entails(parse_assignment("A1"), GAP, atom_cap=0)
         assert reads == ["BRANCH_BUDGET"]
-
-    def test_a_bad_backend_is_reported_before_the_residual_is_taken(self):
-        for check in (extend_to_validating, entails):
-            with pytest.raises(ValueError, match="backend"):
-                check(EMPTY_ASSIGNMENT, "not a formula", backend="bogus")
