@@ -15,13 +15,10 @@ from .formula import (
     Atom,
     Formula,
     Literal,
-    TRUE,
     and_all,
-    cube_literals,
     expect,
     name_ref,
     parse_error,
-    refuse_atoms,
     tokenize,
 )
 
@@ -62,9 +59,6 @@ class Assignment:
     def to_cube(self) -> Formula:
         """The cube view; the empty assignment maps to ``true``."""
         return and_all(lit.to_formula() for lit in self.literals())
-
-    def is_total_for(self, atom_set: Iterable[Atom]) -> bool:
-        return set(atom_set) <= set(self._bindings)
 
     def union(self, other: "Assignment") -> "Assignment":
         merged = dict(self._bindings)
@@ -117,28 +111,6 @@ class Assignment:
 
 
 EMPTY_ASSIGNMENT = Assignment()
-
-
-def from_cube(cube: Formula) -> Assignment:
-    """Inverse of Assignment.to_cube; rejects non-cube formulas."""
-    if cube == TRUE:
-        return Assignment()
-    lits = cube_literals(cube)
-    if lits is None:
-        raise ValueError(f"not a cube: {cube}")
-    return Assignment.from_literals(lits)
-
-
-def extensions(mu: Assignment, atom_set: Iterable[Atom]) -> Iterator[Assignment]:
-    """All total assignments over atom_set extending mu, lexicographic order.
-
-    Lazy: yields 2^(|atom_set| - |domain(mu)|) assignments, true before
-    false per atom, atoms in lexicographic order.
-    """
-    universe = set(atom_set)
-    refuse_atoms("assignment binds atoms outside the universe: ", mu.domain - universe)
-    for rest in total_assignments(sorted(universe - mu.domain)):
-        yield mu.union(rest)
 
 
 def total_assignments(ordered: Sequence[Atom]) -> Iterator[Assignment]:

@@ -2,11 +2,11 @@
 
 Exit codes: 0 success, 1 semantic false (single-predicate `check` only),
 2 usage error, 3 resource limit exceeded.  Output is deterministic for
-fixed inputs.  Each verb returns its JSON payload, its text lines and its
-exit code; `run` alone writes stdout, the JSON document under `--json`
-and the lines otherwise, and writes nothing to it on an error.  `run`
-resolves each limit option of the verb once, before the verb runs, and
-the verb passes those integers to every library call.
+fixed inputs.  Each verb returns its JSON payload and its exit code; `run`
+alone writes stdout: the JSON document under `--json`, else the text lines
+it derives from the payload, and nothing on an error.  `run` resolves
+each limit option of the verb once, before the verb runs, and the verb
+passes those integers to every library call.
 """
 from __future__ import annotations
 
@@ -77,6 +77,27 @@ def _field_lines(payload: dict) -> list[str]:
     return [f"{key}: {_text(value)}" for key, value in payload.items()]
 
 
+def _cube_lines(payload: dict) -> list[str]:
+    """Each listed assignment as a cube, its literals joined by ` & ` (`true`
+    when it binds nothing), then the verification verdict if there is one."""
+    lines = [" & ".join(literals) or "true" for literals in payload["assignments"]]
+    if "verification" in payload:
+        lines.append(f"verified: {_text(payload['verification']['ok'])}")
+    return lines
+
+
+def _cnfize_lines(payload: dict) -> list[str]:
+    if "cases" not in payload:
+        return [payload["cnf"]]
+    lines = [f"loss: {_text(payload['loss'])}"]
+    for case in payload["cases"]:
+        line = f"delta {_text(case['delta']) or '(empty)'}: {case['outcome']}"
+        if case["witness"] is not None:
+            line += f" (witness: {_text(case['witness'])})"
+        lines.append(line)
+    return lines
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="partialsat",
@@ -139,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
         "assignment loses under it",
     )
     _add_formula_source(cnf)
-    cnf.add_argument("--assign", "-a", default="")
+    cnf.add_argument("--assign", "-a", default=None, help="partial assignment; with --check-loss only")
     cnf.add_argument(
         "--check-loss",
         choices=("validating", "entailing"),
@@ -176,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+def _run_check(args: argparse.Namespace) -> tuple[dict, int]:
     ef = parse_existential(_formula_text(args))
     mu = parse_assignment(args.assign)
     delta = witness = None
@@ -194,15 +215,14 @@ def _run_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
             payload[key] = value
             if extra is not None:
                 payload[name] = _literal_strings(extra)
-    code = 0 if args.mode == "both" or payload[args.mode] else 1
-    return payload, _field_lines(payload), code
+    return payload, 0 if args.mode == "both" or payload[args.mode] else 1
 
 
-def _run_residual(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+def _run_residual(args: argparse.Namespace) -> tuple[dict, int]:
     f = parse(_formula_text(args))
     mu = parse_assignment(args.assign)
     r = str(residual(f, mu))
-    return {"formula": str(f), "assign": _literal_strings(mu), "residual": r}, [r], 0
+    return {"formula": str(f), "assign": _literal_strings(mu), "residual": r}, 0
 
 
 def _parse_order(text: str) -> tuple[Atom, ...]:
@@ -212,7 +232,7 @@ def _parse_order(text: str) -> tuple[Atom, ...]:
     return tuple(Atom(name) for name in names)
 
 
-def _run_enumerate(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+def _run_enumerate(args: argparse.Namespace) -> tuple[dict, int]:
     f = parse(_formula_text(args))
     if args.order is not None and args.engine != "obdd":
         raise ValueError("--order applies only to --engine obdd")
@@ -225,7 +245,7 @@ def _run_enumerate(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         result = tableaux_enumerate(f, args.branch_budget, dedup=args.dedup)
     else:
         result = dpll_enumerate(f, args.branch_budget)
-    payload, lines = result.to_json_dict(), result.to_text_lines()
+    payload = result.to_json_dict()
     if args.verify:
         report = verify_enumeration(result, f, args.max_atoms)
         payload["verification"] = {
@@ -234,55 +254,47 @@ def _run_enumerate(args: argparse.Namespace) -> tuple[dict, list[str], int]:
             "disjointness_violations": report.disjointness_violations,
             "covers": report.covers,
         }
-        lines.append(f"verified: {_text(report.ok)}")
-    return payload, lines, 0
+    return payload, 0
 
 
-def _run_cnfize(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+def _run_cnfize(args: argparse.Namespace) -> tuple[dict, int]:
     f = parse(_formula_text(args))
     if args.check_loss is None:
+        if args.assign is not None:
+            raise ValueError("--assign applies only with --check-loss")
         result = tseitin(f)
         if args.dimacs_out is not None:
             Path(args.dimacs_out).write_text(to_dimacs(result.cnf))
-        cnf = str(result.cnf)
         return {
             "formula": str(f),
-            "cnf": cnf,
+            "cnf": str(result.cnf),
             "fresh_atoms": [a.name for a in result.fresh_atoms],
             "definitions": [
                 {"atom": atom.name, "def": str(definition)}
                 for atom, definition in result.definitions
             ],
-        }, [cnf], 0
+        }, 0
     if args.dimacs_out is not None:
         raise ValueError("--dimacs-out applies only without --check-loss")
-    mu = parse_assignment(args.assign)
+    mu = parse_assignment(args.assign or "")
     if args.check_loss == "validating":
         report = check_validation_loss(mu, f, args.sweep_cap)
     else:
         report = check_entailment_loss(
             mu, f, args.sweep_cap, args.max_atoms, args.branch_budget
         )
-    lines = [f"loss: {_text(report.loss)}"]
-    cases = []
-    for case in report.cases:
-        delta, witness = _literal_strings(case.delta), _literal_strings(case.witness)
-        cases.append({"delta": delta, "outcome": case.outcome, "witness": witness})
-        line = f"delta {_text(delta) or '(empty)'}: {case.outcome}"
-        if witness is not None:
-            line += f" (witness: {_text(witness)})"
-        lines.append(line)
     return {
         "mode": report.mode,
         "loss": report.loss,
         "formula": str(report.original),
         "cnf": str(report.cnf),
         "fresh_atoms": [a.name for a in report.fresh_atoms],
-        "cases": cases,
-    }, lines, 0
+        "cases": [{"delta": _literal_strings(case.delta), "outcome": case.outcome,
+                   "witness": _literal_strings(case.witness)} for case in report.cases],
+    }, 0
 
 
-def _run_shannon(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+def _run_shannon(args: argparse.Namespace) -> tuple[dict, int]:
     ef = parse_existential(_formula_text(args))
     expansion = str(shannon_expand(
         ef, args.expansion_cap, keep_bot_disjuncts=args.keep_bot_disjuncts
@@ -291,32 +303,32 @@ def _run_shannon(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         "matrix": str(ef.matrix),
         "quantified": [a.name for a in sorted(ef.quantified)],
         "expansion": expansion,
-    }, [expansion], 0
+    }, 0
 
 
-def _run_predabs(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+def _run_predabs(args: argparse.Namespace) -> tuple[dict, int]:
     problem = problem_from_json(Path(args.problem).read_text())
     result = enumerate_abstraction(
         problem, args.mode, args.expansion_cap, args.max_atoms
     )
-    return result.to_json_dict(), result.to_text_lines(), 0
+    return result.to_json_dict(), 0
 
 
-def _run_compare(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+def _run_compare(args: argparse.Namespace) -> tuple[dict, int]:
     problem = problem_from_json(Path(args.problem).read_text())
     report = compare_modes(problem, args.expansion_cap, args.max_atoms)
-    payload = {name: getattr(report, name) for name in report.__slots__}
-    return payload, _field_lines(payload), 0
+    return {name: getattr(report, name) for name in report.__slots__}, 0
 
 
-_HANDLERS = {
-    "check": _run_check,
-    "residual": _run_residual,
-    "enumerate": _run_enumerate,
-    "cnfize": _run_cnfize,
-    "shannon": _run_shannon,
-    "predabs": _run_predabs,
-    "compare": _run_compare,
+# verb: (handler, the text lines of its payload)
+_VERBS = {
+    "check": (_run_check, _field_lines),
+    "residual": (_run_residual, lambda payload: [payload["residual"]]),
+    "enumerate": (_run_enumerate, _cube_lines),
+    "cnfize": (_run_cnfize, _cnfize_lines),
+    "shannon": (_run_shannon, lambda payload: [payload["expansion"]]),
+    "predabs": (_run_predabs, _cube_lines),
+    "compare": (_run_compare, _field_lines),
 }
 
 
@@ -333,11 +345,12 @@ def run(argv: list[str]) -> int:
             dest = name.lower()
             if hasattr(args, dest):
                 setattr(args, dest, limits.resolve(name, getattr(args, dest)))
-        payload, lines, code = _HANDLERS[args.verb](args)
+        handler, text_lines = _VERBS[args.verb]
+        payload, code = handler(args)
         if args.json:
             print(json.dumps(payload, indent=2))
         else:
-            for line in lines:
+            for line in text_lines(payload):
                 print(line)
         return code
     except ResourceLimitError as exc:

@@ -32,7 +32,6 @@ from .formula import (
     fold,
     is_literal,
     refuse_atoms,
-    tautological,
 )
 from .formula import classify  # noqa: F401 (perfbench wraps it)
 from .partial_sat import _entails_with_witness, entails, validates
@@ -174,17 +173,6 @@ def tseitin(f: Formula) -> TseitinResult:
         clauses.extend(_definition_clauses(atom, definition))
     return TseitinResult(cnf=and_all(clauses), fresh_atoms=fresh,
                          definitions=tuple(definitions))
-
-
-def strip_tautologies(f: Formula) -> Formula:
-    """Drop clauses containing a complementary literal pair; an all-tautology
-    input collapses to true."""
-    if isinstance(f, Const):
-        return f
-    clauses = _cnf_literals(f)
-    if clauses is None:
-        raise ValueError("formula is not in CNF")
-    return and_all(clause for clause, pairs in clauses if not tautological(pairs))
 
 
 _FRESH_BOUND = "assignment binds fresh atom(s): "

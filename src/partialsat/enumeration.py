@@ -55,10 +55,6 @@ class EnumResult(Record):
             ],
         }
 
-    def to_text_lines(self) -> list[str]:
-        """One cube per line, rendered as a conjunction of literals."""
-        return [str(mu.to_cube()) for mu in self.assignments]
-
 
 class VerificationReport(Record):
     """Per-assignment mode-predicate checks, pairwise-disjointness checks
@@ -115,9 +111,6 @@ class Obdd:
 
     def node(self, node_id: int) -> tuple[int, int, int]:
         return self._nodes[node_id]
-
-    def atom_at(self, node_id: int) -> Atom:
-        return self.order[self._nodes[node_id][0]]
 
     def fold(self, step, false, true):
         """Post-order fold of the nodes reachable from the root, each once,

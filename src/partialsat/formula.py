@@ -403,11 +403,6 @@ def is_literal(f: Formula) -> bool:
     return _pair(f) is not None
 
 
-def as_literal(f: Formula) -> Literal | None:
-    pair = _pair(f)
-    return None if pair is None else Literal(*pair)
-
-
 def _flatten(f: Formula, node_type: type) -> Iterator[Formula]:
     """Leaves of a tree of `node_type` nodes, left to right, any association."""
     stack = [f]
@@ -419,36 +414,17 @@ def _flatten(f: Formula, node_type: type) -> Iterator[Formula]:
             yield node
 
 
-def _pairs(f: Formula, node_type: type) -> list[tuple[Atom, bool]] | None:
-    pairs = []
-    for leaf in _flatten(f, node_type):
-        pair = _pair(leaf)
-        if pair is None:
-            return None
-        pairs.append(pair)
-    return pairs
-
-
-def clause_literals(f: Formula) -> list[Literal] | None:
-    """The literals of a clause (any association of the Or tree), else None."""
-    pairs = _pairs(f, Or)
-    return None if pairs is None else [Literal(*pair) for pair in pairs]
-
-
-def cube_literals(f: Formula) -> list[Literal] | None:
-    """The literals of a cube (any association of the And tree), else None."""
-    pairs = _pairs(f, And)
-    return None if pairs is None else [Literal(*pair) for pair in pairs]
-
-
 def _cnf_literals(f: Formula) -> list[tuple[Formula, list[tuple[Atom, bool]]]] | None:
     """Each clause of a CNF formula (any association) with its literal pairs,
     else None."""
     clauses = []
     for clause in _flatten(f, And):
-        pairs = _pairs(clause, Or)
-        if pairs is None:
-            return None
+        pairs = []
+        for leaf in _flatten(clause, Or):
+            pair = _pair(leaf)
+            if pair is None:
+                return None
+            pairs.append(pair)
         clauses.append((clause, pairs))
     return clauses
 
@@ -458,13 +434,6 @@ def cnf_clauses(f: Formula) -> list[Formula] | None:
     constants are not handled here; callers treat them separately."""
     clauses = _cnf_literals(f)
     return None if clauses is None else [clause for clause, _ in clauses]
-
-
-def tautological(pairs: Iterable[tuple[Atom, bool]]) -> bool:
-    """The complementary-pair test: True when some atom occurs with both
-    signs, that is when there are more distinct pairs than atoms."""
-    signed = set(pairs)
-    return len(signed) > len(dict(signed))
 
 
 def minimal(items: Iterable[tuple[object, frozenset]]) -> list:
@@ -487,13 +456,14 @@ def classify(f: Formula) -> StructureReport:
     The constants count as degenerate CNF (and trivially tautology-free)
     but are not literals, clauses, or cubes.  One pass over the clauses: f
     is a clause when it is CNF with one clause (itself), and a cube when it
-    is CNF with only unit clauses.
+    is CNF with only unit clauses.  A clause is a tautology when some atom
+    occurs in it with both signs: it has more distinct pairs than atoms.
     """
     if isinstance(f, Const):
         return StructureReport(False, False, False, True, True)
     clauses = _cnf_literals(f)
     if clauses is None:
         return StructureReport(False, False, False, False, False)
-    taut_free = not any(tautological(pairs) for _, pairs in clauses)
+    taut_free = not any(len(set(pairs)) > len(dict(pairs)) for _, pairs in clauses)
     units = all(len(pairs) == 1 for _, pairs in clauses)
     return StructureReport(is_literal(f), len(clauses) == 1, units, True, taut_free)

@@ -17,7 +17,6 @@ from .formula import (
     Not,
     TRUE,
     atoms,
-    classify,
     fold,
 )
 from .record import Record
@@ -108,7 +107,7 @@ def verdict(
     return SatVerdict(validates=r is TRUE, entails=e, witness=witness)
 
 
-def most_frequent_atom(f: Formula) -> Atom | None:
+def _most_frequent_atom(f: Formula) -> Atom | None:
     """The most frequently occurring atom of f, ties broken lexicographically."""
     counts: dict[Atom, int] = {}
 
@@ -128,7 +127,9 @@ def extend_to_validating(
     atom_cap: int | None = None,
     branch_budget: int | None = None,
 ) -> Assignment:
-    """Greedily extend an entailing mu to a validating superset.
+    """Greedily extend an entailing mu to a validating superset, e.g. {A1}
+    to {A1, A2} for (A1 & A2) | (A1 & !A2); ValueError when mu does not
+    entail f.
 
     At each step the most frequent atom of the residual is bound, preferring
     the polarity that keeps the evaluation from going false.  The result is
@@ -140,25 +141,10 @@ def extend_to_validating(
         raise ValueError("precondition violated: mu does not entail f")
     current = mu
     while r != TRUE:
-        atom = most_frequent_atom(r)
+        atom = _most_frequent_atom(r)
         r_true = residual(r, Assignment({atom: True}))
         if r_true != FALSE:
             current, r = current.bind(atom, True), r_true
         else:
             current, r = current.bind(atom, False), residual(r, Assignment({atom: False}))
     return current
-
-
-def cnf_equivalence_check(
-    mu: Assignment,
-    f: Formula,
-    atom_cap: int | None = None,
-    branch_budget: int | None = None,
-) -> bool:
-    """On tautology-free CNF the two notions coincide; check both and return
-    the shared value."""
-    if not classify(f).is_tautology_free_cnf:
-        raise ValueError("formula must be tautology-free CNF")
-    v = verdict(mu, f, atom_cap=atom_cap, branch_budget=branch_budget)
-    assert v.entails == v.validates, "validation and entailment must coincide on tautology-free CNF"
-    return v.entails

@@ -12,7 +12,8 @@ with its line and column, and the parsers read it through a `TokenStream`,
 as they did before the lexer yielded bare tuples; `ref_verdict` takes the
 residual once for validation and again for entailment, and
 `ref_tidy_disjunct` and `ref_dedup` compare every pair of a disjunct's
-clauses or of a listing's cubes."""
+clauses or of a listing's cubes.  `extensions` lists the total extensions
+of an assignment, which the semantic property tests sweep."""
 from __future__ import annotations
 
 import re
@@ -40,7 +41,6 @@ from partialsat import (
     and_all,
     atoms,
     classify,
-    clause_literals,
     eval3,
     exists_entails,
     exists_validates,
@@ -53,7 +53,7 @@ from partialsat import (
 from partialsat.assignment import total_assignments
 from partialsat.cnfize import _definition_clauses
 from partialsat.enumeration import Obdd
-from partialsat.formula import StructureReport, _cnf_literals, cnf_clauses, cube_literals, fold
+from partialsat.formula import StructureReport, _cnf_literals, cnf_clauses, fold
 from partialsat.partial_sat import _entails_with_witness
 from partialsat.quantified import ExistentialFormula
 from partialsat.semantics import _FOLD, _KEEP, _NEGATE
@@ -474,6 +474,17 @@ def ref_dedup(listing):
 
 # ------------------------------------------------------------- structure
 
+def _literal_pairs(f, node_type):
+    """The (atom, positive) pairs of the literals under a tree of
+    `node_type` nodes, left to right, or None when a leaf is no literal."""
+    if isinstance(f, node_type):
+        left, right = _literal_pairs(f.left, node_type), _literal_pairs(f.right, node_type)
+        return None if left is None or right is None else left + right
+    if isinstance(f, Not) and isinstance(f.arg, AtomRef):
+        return [(f.arg.atom, False)]
+    return [(f.atom, True)] if isinstance(f, AtomRef) else None
+
+
 def ref_classify(f):
     """`classify` as it was: the clauses' literals taken once for CNF-ness,
     again for the tautology check, and f walked twice more."""
@@ -484,20 +495,31 @@ def ref_classify(f):
     taut_free = is_cnf
     if is_cnf:
         for c in clauses:
-            seen = {(l.atom, l.positive) for l in clause_literals(c)}
+            seen = set(_literal_pairs(c, Or))
             if any((a, not pos) in seen for a, pos in seen):
                 taut_free = False
                 break
     return StructureReport(
         is_literal=is_literal(f),
-        is_clause=clause_literals(f) is not None,
-        is_cube=cube_literals(f) is not None,
+        is_clause=_literal_pairs(f, Or) is not None,
+        is_cube=_literal_pairs(f, And) is not None,
         is_cnf=is_cnf,
         is_tautology_free_cnf=taut_free,
     )
 
 
 # ------------------------------------------------------ validation sweeps
+
+def extensions(mu, atom_set):
+    """All total assignments over atom_set extending mu, true before false
+    per atom, atoms in lexicographic order."""
+    universe = set(atom_set)
+    outside = sorted(mu.domain - universe)
+    if outside:
+        raise ValueError("assignment binds atoms outside the universe: " + ", ".join(outside))
+    for rest in total_assignments(sorted(universe - mu.domain)):
+        yield mu.union(rest)
+
 
 def ref_exists_validates(mu, ef):
     """One `validates` per total delta over the bound atoms, in order."""

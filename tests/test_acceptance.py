@@ -33,7 +33,6 @@ from partialsat import (
     eval3,
     exists_entails,
     exists_validates,
-    extensions,
     obdd_enumerate,
     or_all,
     parse,

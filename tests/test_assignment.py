@@ -1,26 +1,22 @@
-"""Assignments: map/literal-set/cube views, extension streams, parsing."""
+"""Assignments: map/literal-set/cube views, extension streams (the oracle
+the semantic sweeps use, and `total_assignments`), parsing."""
 import random
 
 import pytest
 
 from partialsat import (
-    And,
     Assignment,
     Atom,
-    AtomRef,
     EMPTY_ASSIGNMENT,
     InconsistentAssignmentError,
     Literal,
-    Not,
     ParseError,
     TRUE,
-    extensions,
-    from_cube,
     parse_assignment,
 )
 from partialsat.assignment import Assignment as _Assignment, total_assignments
 from gen import atom_pool, mutate_words, outcome, random_partial_assignment
-from oracles import ref_parse_assignment
+from oracles import extensions, ref_parse_assignment
 
 A1, A2, A3, B1 = Atom("A1"), Atom("A2"), Atom("A3"), Atom("B1")
 
@@ -55,17 +51,6 @@ class TestViews:
 
     def test_empty_cube_is_true(self):
         assert EMPTY_ASSIGNMENT.to_cube() == TRUE
-
-    def test_from_cube_inverse(self):
-        mu = Assignment({A1: True, A2: False, A3: True})
-        assert from_cube(mu.to_cube()) == mu
-        assert from_cube(TRUE) == EMPTY_ASSIGNMENT
-
-    def test_from_cube_rejects_non_cube(self):
-        with pytest.raises(ValueError):
-            from_cube(Not(And(AtomRef(A1), AtomRef(A2))))
-        with pytest.raises(InconsistentAssignmentError):
-            from_cube(And(AtomRef(A1), Not(AtomRef(A1))))
 
     def test_literals_sorted(self):
         mu = Assignment({A2: False, A1: True})
@@ -103,11 +88,6 @@ class TestUnionBindRestrict:
         assert not Assignment({A1: True}).conflicts_with(
             Assignment({A2: False})
         )
-
-    def test_is_total_for(self):
-        mu = Assignment({A1: True, A2: False})
-        assert mu.is_total_for({A1, A2})
-        assert not mu.is_total_for({A1, A2, A3})
 
 
 class TestExtensions:

@@ -1,6 +1,7 @@
 """Command-line interface: verbs, output goldens, exit codes, determinism."""
 import json
 import os
+import random
 import shlex
 import shutil
 import subprocess
@@ -9,9 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from partialsat import Atom, TruthValue3, eval3, parse, parse_assignment
+from partialsat import (
+    Atom, TruthValue3, build_obdd, dpll_enumerate, eval3, obdd_enumerate, parse,
+    parse_assignment, tableaux_enumerate,
+)
 from partialsat import cli
 from partialsat.cli import run
+from gen import atom_pool, random_formula
 
 DATA = Path(__file__).parent / "data"
 GAP = "(A1 & A2) | (A1 & !A2)"
@@ -106,7 +111,7 @@ class TestCheck:
         def overflow(args):
             raise RecursionError("maximum recursion depth exceeded")
 
-        monkeypatch.setitem(cli._HANDLERS, "enumerate", overflow)
+        monkeypatch.setitem(cli._VERBS, "enumerate", (overflow, cli._cube_lines))
         deep_and = " & ".join(f"d{i}" for i in range(1200))
         code, out, err = invoke(capsys, "enumerate", "-f", deep_and, "--engine", "obdd")
         assert code == 3
@@ -202,6 +207,18 @@ class TestEnumerate:
     def test_tautology_enumerates_the_empty_cube(self, capsys):
         _, out, _ = invoke(capsys, "enumerate", "-f", "A1 | !A1", "--engine", "obdd")
         assert out == "true\n"
+
+    def test_each_text_line_prints_its_cube(self):
+        """The text lines, joined from the payload's literals, are the
+        printed `Assignment.to_cube` of each listed assignment."""
+        rng = random.Random(7001)
+        pool = atom_pool(4)
+        for _ in range(150):
+            f = random_formula(rng, pool, max_depth=4, const_chance=0.1)
+            for result in (dpll_enumerate(f), tableaux_enumerate(f),
+                           obdd_enumerate(build_obdd(f), f)):
+                assert cli._cube_lines(result.to_json_dict()) == [
+                    str(mu.to_cube()) for mu in result.assignments]
 
     def test_atom_free_input_with_dpll(self, capsys):
         code, out, _ = invoke(capsys, "enumerate", "-f", "true & true", "--engine", "dpll")
@@ -341,6 +358,14 @@ class TestCnfize:
         assert (code, out) == (2, "")
         assert err == "error: --dimacs-out applies only without --check-loss\n"
         assert not path.exists()
+
+    def test_an_assignment_is_refused_without_a_loss_check(self, capsys):
+        for assign in ("A1, !A1", "A1", ""):  # an empty -a is given, not absent
+            code, out, err = invoke(capsys, "cnfize", "-f", "A1 | (A2 & A3)", "-a", assign)
+            assert (code, out) == (2, "")
+            assert err == "error: --assign applies only with --check-loss\n"
+        code, out, _ = invoke(capsys, "cnfize", "-f", "A1 | !A1", "--check-loss", "entailing")
+        assert (code, out) == (0, "loss: false\ndelta (empty): entailed\n")  # no -a: empty
 
     def test_validation_loss_golden(self, capsys):
         code, out, _ = invoke(

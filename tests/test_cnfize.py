@@ -21,20 +21,18 @@ from partialsat import (
     check_entailment_loss,
     check_validation_loss,
     classify,
-    clause_literals,
     cnf_clauses,
     entails,
-    extensions,
     parse,
     parse_assignment,
     sat_total,
     to_dimacs,
     tseitin,
-    strip_tautologies,
     validates,
 )
 from gen import atom_pool, random_formula, random_partial_assignment, size
-from oracles import ref_check_validation_loss, ref_tseitin
+from partialsat.formula import _cnf_literals
+from oracles import extensions, ref_check_validation_loss, ref_tseitin
 
 
 class TestTseitinGoldens:
@@ -147,8 +145,7 @@ class TestTseitinProperties:
         for _ in range(300):
             f = random_formula(rng, pool, max_depth=6)
             cnf = tseitin(f).cnf
-            clauses = cnf_clauses(cnf) or []
-            lit_count = sum(len(clause_literals(c)) for c in clauses)
+            lit_count = sum(len(pairs) for _, pairs in _cnf_literals(cnf) or [])
             assert lit_count <= 12 * size(f)
 
     def test_matches_recursive_reference(self):
@@ -414,26 +411,6 @@ class TestEntailmentLoss:
         with pytest.raises(ResourceLimitError, match="sweeping 2 fresh atoms exceeds the cap of 1"):
             check_validation_loss(parse_assignment("A1, A2"), parse("(A1 & A2) | (A3 & A4)"))
         assert reads == ["SWEEP_CAP"]
-
-
-class TestStripTautologies:
-    def test_drops_tautological_clause(self):
-        assert strip_tautologies(parse("(A1 | !A1) & (A2 | A3)")) == parse("A2 | A3")
-
-    def test_all_tautologies_collapse_to_true(self):
-        assert strip_tautologies(parse("(A1 | !A1) & (A2 | !A2)")) == TRUE
-
-    def test_tautology_free_input_is_unchanged(self):
-        f = parse("(A1 | A2) & !A3")
-        assert strip_tautologies(f) == f
-
-    def test_constants_pass_through(self):
-        assert strip_tautologies(TRUE) == TRUE
-        assert strip_tautologies(FALSE) == FALSE
-
-    def test_rejects_non_cnf(self):
-        with pytest.raises(ValueError, match="CNF"):
-            strip_tautologies(parse("A1 -> A2"))
 
 
 class TestToDimacs:

@@ -35,7 +35,8 @@ from partialsat import (
 from partialsat import enumeration, partial_sat, predabs
 from partialsat.enumeration import _dpll_walk
 from partialsat.limits import Budget
-from partialsat.formula import as_literal
+from partialsat.cli import _cube_lines
+from partialsat.formula import _pair
 from gen import atom_pool, equivalent_variant, random_formula
 import oracles
 from oracles import (
@@ -63,11 +64,11 @@ def ref_dpll_walk(f, budget):
                 return
             if r == FALSE:
                 return
-            lit = as_literal(r)
+            lit = _pair(r)
             if lit is None:
                 break
-            mu = mu.bind(lit.atom, lit.positive)
-            r = residual(r, Assignment({lit.atom: lit.positive}))
+            mu = mu.bind(*lit)
+            r = residual(r, Assignment(dict([lit])))
         budget.spend()
         atom = min(atoms(r))
         for value in (True, False):
@@ -108,7 +109,7 @@ class TestObddStructure:
     def test_redundant_branching_collapses_to_one_node(self):
         bdd = build_obdd(GAP)
         assert bdd.internal_node_count == 1
-        assert bdd.atom_at(bdd.root) == Atom("A1")
+        assert bdd.order[bdd.node(bdd.root)[0]] == Atom("A1")
 
     def test_iff_needs_three_nodes(self):
         assert build_obdd(parse("A1 <-> A2")).internal_node_count == 3
@@ -265,7 +266,7 @@ class TestObddEnumerate:
         assert _texts(obdd_enumerate(build_obdd(FALSE))) == []
         result = obdd_enumerate(build_obdd(TRUE))
         assert result.assignments == (Assignment({}),)
-        assert result.to_text_lines() == ["true"]
+        assert _cube_lines(result.to_json_dict()) == ["true"]
 
     def test_formula_fallback_reads_the_diagram_back(self):
         result = obdd_enumerate(build_obdd(GAP))

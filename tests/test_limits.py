@@ -15,7 +15,6 @@ from partialsat import (
     build_obdd,
     check_entailment_loss,
     check_validation_loss,
-    cnf_equivalence_check,
     compare_modes,
     dpll_enumerate,
     dpll_first_assignment,
@@ -60,9 +59,6 @@ CALLS = [
     (build_obdd, lambda: build_obdd(GAP3)),
     (check_entailment_loss, lambda: check_entailment_loss(A1, GAP3)),
     (check_validation_loss, lambda: check_validation_loss(parse_assignment("A1, A2"), GAP3)),
-    (cnf_equivalence_check, lambda: cnf_equivalence_check(A1, parse("(A1 | A2) & (A3 | A4)"))),
-    (cnf_equivalence_check,
-     lambda: cnf_equivalence_check(A1, parse("(A2 | A3) & (A4 | A5)"), atom_cap=0)),
     (compare_modes, lambda: compare_modes(PROBLEM)),
     (dpll_enumerate, lambda: dpll_enumerate(GAP3)),
     (dpll_first_assignment, lambda: dpll_first_assignment(GAP3)),
@@ -100,7 +96,7 @@ def test_every_limit_taking_function_is_called():
     exported = {getattr(partialsat, name) for name in partialsat.__all__}
     taking = {fn for fn in exported
               if inspect.isfunction(fn) and _limit_parameters(fn)}
-    assert len(taking) == 21
+    assert len(taking) == 20
     assert {fn for fn, _ in CALLS} == taking
 
 
@@ -178,12 +174,11 @@ _A1, _A1A2 = parse_assignment("A1"), parse_assignment("A1, A2")  # GAP3|A1A2 is 
     lambda: entails(_A1, GAP3, branch_budget=-1),
     lambda: verdict(_A1A2, GAP3, atom_cap=-1),
     lambda: extend_to_validating(_A1A2, GAP3, branch_budget=-1),
-    lambda: cnf_equivalence_check(_A1, parse("A1 & (A1 | A2)"), atom_cap=-1),
     lambda: shannon_expand(parse_existential("A1 & A2"), expansion_cap=-1),
     lambda: exists_entails(parse_assignment("B1"), EF, atom_cap=-1),
 ], ids=["branch_budget", "node_budget", "atom_cap", "expansion_cap", "sweep_cap",
         "dpll_backend", "constant_residual", "sweep_decides", "verdict", "extend",
-        "cnf_equivalence", "nothing_quantified", "before_other_checks"])
+        "nothing_quantified", "before_other_checks"])
 def test_a_negative_explicit_limit_is_a_value_error(call):
     with pytest.raises(ValueError, match="must not be negative, got -1$"):
         call()

@@ -16,10 +16,9 @@ from partialsat import (
     TRUE,
     atoms,
     brute_valid,
-    cnf_equivalence_check,
+    classify,
     entails,
     extend_to_validating,
-    most_frequent_atom,
     parse,
     parse_assignment,
     residual,
@@ -154,28 +153,26 @@ class TestEquivalenceSensitivity:
 
 
 class TestTautologyFreeCnfCollapse:
+    """On tautology-free CNF the two notions coincide."""
+
     def test_random_tautology_free_cnfs(self):
         rng = random.Random(4006)
         pool = atom_pool(6)
         agreements = {True: 0, False: 0}
         for _ in range(250):
             f = random_tautology_free_cnf(rng, pool)
+            assert classify(f).is_tautology_free_cnf
             mu = random_partial_assignment(rng, pool, bind_chance=0.6)
-            shared = cnf_equivalence_check(mu, f)
-            assert shared == validates(mu, f) == entails(mu, f)
-            agreements[shared] += 1
+            v = verdict(mu, f)
+            assert v.validates == v.entails == validates(mu, f) == entails(mu, f)
+            agreements[v.entails] += 1
         assert agreements[True] > 0 and agreements[False] > 0
 
     def test_tautological_clause_breaks_the_collapse(self):
         f = parse("A1 | !A1")
+        assert not classify(f).is_tautology_free_cnf
         assert entails(EMPTY_ASSIGNMENT, f)
         assert not validates(EMPTY_ASSIGNMENT, f)
-        with pytest.raises(ValueError, match="tautology-free"):
-            cnf_equivalence_check(EMPTY_ASSIGNMENT, f)
-
-    def test_non_cnf_rejected(self):
-        with pytest.raises(ValueError):
-            cnf_equivalence_check(EMPTY_ASSIGNMENT, parse("A1 -> A2"))
 
 
 class TestBackends:
@@ -233,14 +230,16 @@ class TestBackends:
 
 
 class TestMostFrequentAtom:
+    """`extend_to_validating` binds the residual's most frequent atom first."""
+
     def test_clear_winner(self):
-        assert most_frequent_atom(parse("(A2 & A2) | A1")) == Atom("A2")
+        assert partial_sat._most_frequent_atom(parse("(A2 & A2) | A1")) == Atom("A2")
 
     def test_tie_breaks_lexicographically(self):
-        assert most_frequent_atom(GAP) == Atom("A1")
+        assert partial_sat._most_frequent_atom(GAP) == Atom("A1")
 
     def test_constant_has_none(self):
-        assert most_frequent_atom(TRUE) is None
+        assert partial_sat._most_frequent_atom(TRUE) is None
 
 
 class TestExtendToValidating:
@@ -310,7 +309,7 @@ class TestOneResidualPerCheck:
         assert taken == ["residual", "atoms", "atoms"]  # atoms(f) for the witness only
         taken.clear()
         cnf = parse("(A1 | A2) & !A3")
-        assert cnf_equivalence_check(parse_assignment("A1, !A3"), cnf)
+        assert verdict(parse_assignment("A1, !A3"), cnf) == SatVerdict(True, True)
         assert taken == ["residual"]
         taken.clear()
         monkeypatch.setattr(partial_sat, "residual",

@@ -18,6 +18,7 @@ from partialsat import (
     verify_enumeration,
 )
 from partialsat import limits, predabs
+from partialsat.cli import _cube_lines
 from gen import atom_pool, random_formula
 from oracles import ref_enumerate_abstraction
 
@@ -160,7 +161,7 @@ class TestDegenerateProblems:
         for mode in ("validating", "entailing"):
             result = enumerate_abstraction(p, mode)
             assert len(result.assignments) == 1
-            assert result.to_text_lines() == ["true"]
+            assert _cube_lines(result.to_json_dict()) == ["true"]
 
     def test_unconstrained_single_predicate(self):
         p = PredAbsProblem(

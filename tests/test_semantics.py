@@ -28,7 +28,6 @@ from partialsat import (
     brute_valid,
     entails,
     eval3,
-    extensions,
     first_falsifying,
     first_satisfying,
     or_all,
@@ -39,6 +38,7 @@ from partialsat import (
 )
 from gen import atom_pool, equivalent_variant, random_formula, random_partial_assignment
 import oracles
+from oracles import extensions
 
 T, U, F = TruthValue3.T, TruthValue3.U, TruthValue3.F
 P, Q = Atom("P"), Atom("Q")
