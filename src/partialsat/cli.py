@@ -268,9 +268,9 @@ def _run_cnfize(args: argparse.Namespace) -> tuple[dict, int]:
         return {
             "formula": str(f),
             "cnf": str(result.cnf),
-            "fresh_atoms": [a.name for a in result.fresh_atoms],
+            "fresh_atoms": [str(a) for a in result.fresh_atoms],
             "definitions": [
-                {"atom": atom.name, "def": str(definition)}
+                {"atom": str(atom), "def": str(definition)}
                 for atom, definition in result.definitions
             ],
         }, 0
@@ -288,7 +288,7 @@ def _run_cnfize(args: argparse.Namespace) -> tuple[dict, int]:
         "loss": report.loss,
         "formula": str(report.original),
         "cnf": str(report.cnf),
-        "fresh_atoms": [a.name for a in report.fresh_atoms],
+        "fresh_atoms": [str(a) for a in report.fresh_atoms],
         "cases": [{"delta": _literal_strings(case.delta), "outcome": case.outcome,
                    "witness": _literal_strings(case.witness)} for case in report.cases],
     }, 0
@@ -301,7 +301,7 @@ def _run_shannon(args: argparse.Namespace) -> tuple[dict, int]:
     ))
     return {
         "matrix": str(ef.matrix),
-        "quantified": [a.name for a in sorted(ef.quantified)],
+        "quantified": [str(a) for a in sorted(ef.quantified)],
         "expansion": expansion,
     }, 0
 
@@ -317,7 +317,7 @@ def _run_predabs(args: argparse.Namespace) -> tuple[dict, int]:
 def _run_compare(args: argparse.Namespace) -> tuple[dict, int]:
     problem = problem_from_json(Path(args.problem).read_text())
     report = compare_modes(problem, args.expansion_cap, args.max_atoms)
-    return {name: getattr(report, name) for name in report.__slots__}, 0
+    return {name: getattr(report, name) for name in report._field_names}, 0
 
 
 # verb: (handler, the text lines of its payload)

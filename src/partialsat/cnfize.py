@@ -26,6 +26,7 @@ from .formula import (
     Or,
     TRUE,
     _cnf_literals,
+    _pair,
     and_all,
     atoms,
     cnf_clauses,
@@ -55,19 +56,12 @@ class TseitinResult(Record):
 
     __slots__ = ("cnf", "fresh_atoms", "definitions")
 
-    def __init__(self, cnf: Formula, fresh_atoms: tuple[Atom, ...],
-                 definitions: tuple[tuple[Atom, Formula], ...]):
-        self._set(cnf, fresh_atoms, definitions)
-
 
 class LossCase(Record):
     """Verdict for one total assignment over the fresh atoms."""
 
     __slots__ = ("delta", "outcome", "witness")
-
-    def __init__(self, delta: Assignment, outcome: str,
-                 witness: Assignment | None = None):
-        self._set(delta, outcome, witness)
+    _defaults = {"witness": None}
 
 
 class LossReport(Record):
@@ -75,10 +69,6 @@ class LossReport(Record):
     none of them recovers the verdict that held on the original formula."""
 
     __slots__ = ("mode", "loss", "original", "cnf", "fresh_atoms", "cases")
-
-    def __init__(self, mode: str, loss: bool, original: Formula, cnf: Formula,
-                 fresh_atoms: tuple[Atom, ...], cases: tuple[LossCase, ...]):
-        self._set(mode, loss, original, cnf, fresh_atoms, cases)
 
 
 def _collapse_double_negation(node: Formula, a: Formula, b: Formula | None = None) -> Formula:
@@ -110,13 +100,12 @@ def _definition_clauses(fresh: Atom, definition: Formula) -> list[Formula]:
 
 
 def _operand_key(x: Formula, number: dict[int, int]):
-    """An operand in a node's form: a literal by its printed form, a
-    numbered node by its number (~number under a `Not`)."""
-    if type(x) is AtomRef:
-        return x.atom
-    if type(x) is Not:
-        return "!" + x.arg.atom if type(x.arg) is AtomRef else ~number[id(x.arg)]
-    return number[id(x)]
+    """An operand in a node's form: a literal by its `(atom, positive)`
+    pair, a numbered node by its number (~number under a `Not`)."""
+    pair = _pair(x)
+    if pair is not None:
+        return pair
+    return ~number[id(x.arg)] if type(x) is Not else number[id(x)]
 
 
 def tseitin(f: Formula) -> TseitinResult:

@@ -41,10 +41,6 @@ class EnumResult(Record):
 
     __slots__ = ("engine", "mode", "formula", "assignments")
 
-    def __init__(self, engine: str, mode: str, formula: Formula,
-                 assignments: tuple[Assignment, ...]):
-        self._set(engine, mode, formula, assignments)
-
     def to_json_dict(self) -> dict:
         return {
             "engine": self.engine,
@@ -61,11 +57,6 @@ class VerificationReport(Record):
     (None where not applicable), and whether the cubes cover the formula."""
 
     __slots__ = ("engine", "mode", "mode_violations", "disjointness_violations", "covers")
-
-    def __init__(self, engine: str, mode: str, mode_violations: tuple[int, ...],
-                 disjointness_violations: tuple[tuple[int, int], ...] | None,
-                 covers: bool):
-        self._set(engine, mode, mode_violations, disjointness_violations, covers)
 
     @property
     def ok(self) -> bool:
@@ -138,7 +129,7 @@ class Obdd:
         rows: list[tuple[str, int, int]] = []
 
         def row(atom: Atom, low: int, high: int) -> int:
-            rows.append((atom.name, low, high))
+            rows.append((str(atom), low, high))
             return len(rows) + 1
 
         return (self.fold(row, 0, 1), *rows)

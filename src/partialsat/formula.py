@@ -20,11 +20,10 @@ from functools import total_ordering
 from typing import Iterable, Iterator
 
 from .errors import ParseError
-from .record import Record
+from .record import Record, _init
 
 _ATOM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _RESERVED = {"true": "TRUE", "false": "FALSE", "exists": "EXISTS"}  # word: token kind
-_init = object.__setattr__
 
 
 class Atom(str):
@@ -94,7 +93,7 @@ class Not(Formula):
         _init(self, "arg", arg)
 
 
-class And(Formula):
+class _Binary(Formula):  # the one body of And, Or, Implies and Iff
     __slots__ = ("left", "right")
 
     def __init__(self, left: Formula, right: Formula):
@@ -102,28 +101,20 @@ class And(Formula):
         _init(self, "right", right)
 
 
-class Or(Formula):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Formula, right: Formula):
-        _init(self, "left", left)
-        _init(self, "right", right)
+class And(_Binary):
+    __slots__ = ()
 
 
-class Implies(Formula):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Formula, right: Formula):
-        _init(self, "left", left)
-        _init(self, "right", right)
+class Or(_Binary):
+    __slots__ = ()
 
 
-class Iff(Formula):
-    __slots__ = ("left", "right")
+class Implies(_Binary):
+    __slots__ = ()
 
-    def __init__(self, left: Formula, right: Formula):
-        _init(self, "left", left)
-        _init(self, "right", right)
+
+class Iff(_Binary):
+    __slots__ = ()
 
 
 TRUE = Const(True)
@@ -137,9 +128,7 @@ class Literal(Record):
     """An atom or its negation."""
 
     __slots__ = ("atom", "positive")
-
-    def __init__(self, atom: Atom, positive: bool = True):
-        self._set(atom, positive)
+    _defaults = {"positive": True}
 
     def negate(self) -> "Literal":
         return Literal(self.atom, not self.positive)
@@ -152,7 +141,7 @@ class Literal(Record):
         return (self.atom, not self.positive) < (other.atom, not other.positive)
 
     def __str__(self) -> str:
-        return self.atom.name if self.positive else "!" + self.atom.name
+        return str(self.atom) if self.positive else "!" + self.atom
 
 
 def atoms(f: Formula) -> frozenset[Atom]:
@@ -382,10 +371,6 @@ def format_formula(f: Formula) -> str:
 
 class StructureReport(Record):
     __slots__ = ("is_literal", "is_clause", "is_cube", "is_cnf", "is_tautology_free_cnf")
-
-    def __init__(self, is_literal: bool, is_clause: bool, is_cube: bool,
-                 is_cnf: bool, is_tautology_free_cnf: bool):
-        self._set(is_literal, is_clause, is_cube, is_cnf, is_tautology_free_cnf)
 
 
 def _pair(f: Formula) -> tuple[Atom, bool] | None:

@@ -29,10 +29,7 @@ class SatVerdict(Record):
     present exactly when entails is false."""
 
     __slots__ = ("validates", "entails", "witness")
-
-    def __init__(self, validates: bool, entails: bool,
-                 witness: Assignment | None = None):
-        self._set(validates, entails, witness)
+    _defaults = {"witness": None}
 
 
 def validates(mu: Assignment, f: Formula) -> bool:

@@ -50,7 +50,7 @@ class PredAbsProblem(Record):
         for _, definition in predicates:
             hidden |= atoms(definition)
         refuse_atoms("label atom(s) collide with formula atoms: ", hidden.intersection(labels))
-        self._set(base, predicates)
+        super().__init__(base, predicates)
 
 
 class ModeComparison(Record):
@@ -59,12 +59,6 @@ class ModeComparison(Record):
 
     __slots__ = ("cube_count_validating", "cube_count_entailing",
                  "total_literals_validating", "total_literals_entailing", "equivalent")
-
-    def __init__(self, cube_count_validating: int, cube_count_entailing: int,
-                 total_literals_validating: int, total_literals_entailing: int,
-                 equivalent: bool):
-        self._set(cube_count_validating, cube_count_entailing,
-                  total_literals_validating, total_literals_entailing, equivalent)
 
 
 def problem_from_json(text: str) -> PredAbsProblem:

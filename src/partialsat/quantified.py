@@ -37,9 +37,7 @@ class ExistentialFormula(Record):
     is permitted."""
 
     __slots__ = ("matrix", "quantified")
-
-    def __init__(self, matrix: Formula, quantified: frozenset[Atom] = frozenset()):
-        self._set(matrix, quantified)
+    _defaults = {"quantified": frozenset()}
 
     @property
     def free_atoms(self) -> frozenset[Atom]:
@@ -48,7 +46,7 @@ class ExistentialFormula(Record):
     def __str__(self) -> str:
         if not self.quantified:
             return str(self.matrix)
-        names = " ".join(a.name for a in sorted(self.quantified))
+        names = " ".join(sorted(self.quantified))
         return f"exists {names} . {self.matrix}"
 
 

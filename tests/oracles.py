@@ -326,7 +326,9 @@ def ref_repr(value):
     """`Name(field=value, ...)` for records, recursing into their fields."""
     if not isinstance(value, Record):
         return repr(value)
-    shown = ", ".join(f"{name}={ref_repr(getattr(value, name))}" for name in value.__slots__)
+    names = [name for klass in reversed(type(value).__mro__)
+             for name in klass.__dict__.get("__slots__", ())]
+    shown = ", ".join(f"{name}={ref_repr(getattr(value, name))}" for name in names)
     return f"{type(value).__qualname__}({shown})"
 
 

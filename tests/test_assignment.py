@@ -5,14 +5,21 @@ import random
 import pytest
 
 from partialsat import (
+    And,
     Assignment,
     Atom,
+    AtomRef,
     EMPTY_ASSIGNMENT,
+    ExistentialFormula,
     InconsistentAssignmentError,
     Literal,
     ParseError,
     TRUE,
+    build_obdd,
+    dpll_enumerate,
+    parse,
     parse_assignment,
+    verdict,
 )
 from partialsat.assignment import Assignment as _Assignment, total_assignments
 from gen import atom_pool, mutate_words, outcome, random_partial_assignment
@@ -59,6 +66,18 @@ class TestViews:
     def test_str_literal_set_syntax(self):
         assert str(Assignment({A1: True, A3: False})) == "A1, !A3"
         assert str(EMPTY_ASSIGNMENT) == ""
+
+    def test_a_plain_name_prints_as_its_atom(self):
+        # a plain str equals its Atom, so every printed view takes it as one
+        mu = Assignment({"A1": True})
+        assert (str(mu), repr(mu)) == (str(Assignment({A1: True})), repr(Assignment({A1: True})))
+        assert [str(lit) for lit in mu.literals()] == ["A1"]
+        assert [str(lit) for lit in Assignment({"A2": False}).literals()] == ["!A2"]
+        assert str(verdict(mu, parse("A1 & A2")).witness) == "A1, !A2"
+        f = And(AtomRef("A1"), AtomRef("A2"))
+        assert dpll_enumerate(f).to_json_dict()["assignments"] == [["A1", "A2"]]
+        assert build_obdd(f).signature() == build_obdd(parse("A1 & A2")).signature()
+        assert str(ExistentialFormula(f, frozenset({"A2"}))) == "exists A2 . A1 & A2"
 
 
 class TestUnionBindRestrict:

@@ -1,8 +1,10 @@
 """The package's immutable value types: construction, equality, hashing,
 repr, immutability and ordering, one table row per type."""
 import copy
+import importlib
 import os
 import pickle
+import pkgutil
 import random
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import partialsat
 from partialsat import (
     And,
     Atom,
@@ -32,7 +35,8 @@ from partialsat import (
     parse,
     parse_assignment,
 )
-from partialsat.formula import StructureReport
+from partialsat.formula import Formula, StructureReport, _Binary
+from partialsat.record import Record
 from gen import atom_pool, random_formula
 from oracles import ref_repr
 
@@ -192,10 +196,36 @@ def test_predicate_labels_are_checked():
         PredAbsProblem(F, ((A2, rA1),))
 
 
+@pytest.mark.parametrize("cls,fields,values,other,defaults", ROWS)
+def test_a_field_given_twice_or_unknown_is_refused(cls, fields, values, other, defaults):
+    with pytest.raises(TypeError):
+        cls(*values, **{fields[0]: other[0]})
+    with pytest.raises(TypeError):
+        cls(*values, extra=other[0])
+    with pytest.raises(TypeError):
+        cls(**dict(zip(fields, values)), extra=other[0])
+
+
+def test_every_package_record_has_a_row():
+    # a record added later gets every TestRecord check, or this fails
+    for info in pkgutil.iter_modules(partialsat.__path__):
+        importlib.import_module(f"partialsat.{info.name}")
+    found, todo = set(), [Record]
+    while todo:
+        cls = todo.pop()
+        for sub in cls.__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("partialsat.") and sub not in (Formula, _Binary):
+                found.add(sub)
+    assert found - {row[0] for row in RECORDS} == set()
+    assert _Binary.__subclasses__() == [And, Or, Implies, Iff]
+
+
 def test_the_cli_does_not_import_dataclasses():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import sys, partialsat.cli; print('dataclasses' in sys.modules)"
+    code = ("import sys, partialsat.cli\n"
+            "print(sorted(set(sys.modules) & {'dataclasses', 'inspect', 'ast', 'dis'}))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"
