@@ -1,9 +1,9 @@
 """Total and partial truth assignments.
 
 An assignment has three interchangeable views: a map from atoms to
-booleans, a set of literals, and a cube (conjunction-of-literals formula).
-Text syntax for the literal-set view: comma-separated literals, e.g.
-``A1, !A3``.
+booleans, a set of literals, written as their texts (``A1``, ``!A3``), and
+a cube (conjunction-of-literals formula).  Text syntax for the literal-set
+view: comma-separated literals, e.g. ``A1, !A3``.
 """
 from __future__ import annotations
 
@@ -13,8 +13,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import InconsistentAssignmentError
 from .formula import (
     Atom,
+    AtomRef,
     Formula,
-    Literal,
+    Not,
     and_all,
     expect,
     name_ref,
@@ -31,18 +32,6 @@ class Assignment:
     def __init__(self, bindings: Mapping[Atom, bool] = ()):
         self._bindings = dict(bindings)
 
-    @classmethod
-    def from_literals(cls, literals: Iterable[Literal]) -> "Assignment":
-        bindings: dict[Atom, bool] = {}
-        for lit in literals:
-            old = bindings.get(lit.atom)
-            if old is not None and old != lit.positive:
-                raise InconsistentAssignmentError(
-                    f"inconsistent literal set: both {lit.atom} and !{lit.atom}"
-                )
-            bindings[lit.atom] = lit.positive
-        return cls(bindings)
-
     @property
     def domain(self) -> frozenset[Atom]:
         return frozenset(self._bindings)
@@ -50,15 +39,15 @@ class Assignment:
     def value(self, atom: Atom) -> bool | None:
         return self._bindings.get(atom)
 
-    def literals(self) -> tuple[Literal, ...]:
-        """The set-of-literals view, atom-lexicographic order."""
-        return tuple(
-            Literal(a, v) for a, v in sorted(self._bindings.items())
-        )
+    def literals(self) -> tuple[str, ...]:
+        """The set-of-literals view as literal texts, atom-lexicographic:
+        ``("A1", "!A3")``."""
+        return tuple(str(a) if v else "!" + a for a, v in sorted(self._bindings.items()))
 
     def to_cube(self) -> Formula:
         """The cube view; the empty assignment maps to ``true``."""
-        return and_all(lit.to_formula() for lit in self.literals())
+        return and_all(AtomRef(a) if v else Not(AtomRef(a))
+                       for a, v in sorted(self._bindings.items()))
 
     def union(self, other: "Assignment") -> "Assignment":
         merged = dict(self._bindings)
@@ -103,11 +92,10 @@ class Assignment:
         return hash(frozenset(self._bindings.items()))
 
     def __str__(self) -> str:
-        return ", ".join(str(lit) for lit in self.literals())
+        return ", ".join(self.literals())
 
     def __repr__(self) -> str:
-        body = ", ".join(str(lit) for lit in self.literals())
-        return f"Assignment({{{body}}})"
+        return f"Assignment({{{self}}})"
 
 
 EMPTY_ASSIGNMENT = Assignment()
@@ -124,16 +112,20 @@ def parse_assignment(text: str) -> Assignment:
     """Parse the literal-set syntax, e.g. ``A1, !A3``; blank means empty."""
     tokens = tokenize(text)
     refs: dict = {}
-    literals: list[Literal] = []
+    pairs: list[tuple[Atom, bool]] = []
     i = 0
     while tokens[0][0] != "EOF":  # one literal per turn, unless the text is blank
         positive = tokens[i][0] != "NOT"
         i = expect(text, tokens, i + (not positive), "NAME", "an atom name")
-        literals.append(Literal(name_ref(refs, tokens[i - 1][1]).atom, positive))
+        pairs.append((name_ref(refs, tokens[i - 1][1]).atom, positive))
         if tokens[i][0] != "COMMA":
             break
         i += 1
     kind, word, at = tokens[i]
     if kind != "EOF":
         raise parse_error(text, f"unexpected {word!r}", at)
-    return Assignment.from_literals(literals)
+    bindings: dict[Atom, bool] = {}
+    for atom, positive in pairs:  # a conflict counts only in a text that parses
+        if bindings.setdefault(atom, positive) != positive:
+            raise InconsistentAssignmentError(f"inconsistent literal set: both {atom} and !{atom}")
+    return Assignment(bindings)

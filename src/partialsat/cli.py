@@ -6,7 +6,8 @@ fixed inputs.  Each verb returns its JSON payload and its exit code; `run`
 alone writes stdout: the JSON document under `--json`, else the text lines
 it derives from the payload, and nothing on an error.  `run` resolves
 each limit option of the verb once, before the verb runs, and the verb
-passes those integers to every library call.
+passes those integers to every library call.  `check` refuses a limit
+option given on the command line (`args.given`) that its input never reads.
 """
 from __future__ import annotations
 
@@ -63,7 +64,7 @@ def _formula_text(args: argparse.Namespace) -> str:
 
 
 def _literal_strings(mu: Assignment | None) -> list[str] | None:
-    return None if mu is None else [str(lit) for lit in mu.literals()]
+    return None if mu is None else list(mu.literals())
 
 
 def _text(value) -> str:
@@ -199,6 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_check(args: argparse.Namespace) -> tuple[dict, int]:
     ef = parse_existential(_formula_text(args))
+    if ef.quantified and "branch_budget" in args.given:
+        raise ValueError("--branch-budget applies only to a formula without exists")
+    if not ef.quantified and "expansion_cap" in args.given:
+        raise ValueError("--expansion-cap applies only to an exists formula")
     mu = parse_assignment(args.assign)
     delta = witness = None
     if ef.quantified:
@@ -341,6 +346,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        args.given = {dest for dest, value in vars(args).items() if value is not None}
         for name in limits.DEFAULTS:  # --max-atoms is MAX_ATOMS, and so on
             dest = name.lower()
             if hasattr(args, dest):

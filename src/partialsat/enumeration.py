@@ -46,9 +46,7 @@ class EnumResult(Record):
             "engine": self.engine,
             "mode": self.mode,
             "formula": str(self.formula),
-            "assignments": [
-                [str(lit) for lit in mu.literals()] for mu in self.assignments
-            ],
+            "assignments": [list(mu.literals()) for mu in self.assignments],
         }
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 import sys
-from functools import total_ordering
 from typing import Iterable, Iterator
 
 from .errors import ParseError
@@ -121,27 +120,6 @@ TRUE = Const(True)
 FALSE = Const(False)
 
 _BINARY = (And, Or, Implies, Iff)
-
-
-@total_ordering
-class Literal(Record):
-    """An atom or its negation."""
-
-    __slots__ = ("atom", "positive")
-    _defaults = {"positive": True}
-
-    def negate(self) -> "Literal":
-        return Literal(self.atom, not self.positive)
-
-    def to_formula(self) -> Formula:
-        ref = AtomRef(self.atom)
-        return ref if self.positive else Not(ref)
-
-    def __lt__(self, other: "Literal") -> bool:
-        return (self.atom, not self.positive) < (other.atom, not other.positive)
-
-    def __str__(self) -> str:
-        return str(self.atom) if self.positive else "!" + self.atom
 
 
 def atoms(f: Formula) -> frozenset[Atom]:
@@ -374,8 +352,7 @@ class StructureReport(Record):
 
 
 def _pair(f: Formula) -> tuple[Atom, bool] | None:
-    """The one literal test: a literal's `(atom, positive)` pair, else None.
-    Only the public views that return `Literal` records build them."""
+    """The one literal test: a literal's `(atom, positive)` pair, else None."""
     kind = type(f)
     if kind is AtomRef:
         return f.atom, True

@@ -164,10 +164,6 @@ def _row_masks(n: int) -> tuple[int, ...]:
     return tuple(_tile((1 << h) - 1, h << 1, 1 << n) for h in halves)
 
 
-_NOT, _AND, _OR, _IMPLIES, _IFF = range(5)
-_BINARY_OPCODE = {And: _AND, Or: _OR, Implies: _IMPLIES, Iff: _IFF}
-
-
 def _table(f: Formula, leaf: dict[Atom, int], full: int) -> int:
     """Interval table of f from its atoms' tables: the rows where f is
     surely true in the low half, those where it is possibly true in the
@@ -175,8 +171,8 @@ def _table(f: Formula, leaf: dict[Atom, int], full: int) -> int:
     this is the two-valued table; the first atom missing from it widens
     the tables so far and is unknown (low half 0, high half full).
     Iterative, so depth is not bounded by the recursion limit; a right
-    operand is skipped when the left one decides the node (0 under & and
-    ->, full under |)."""
+    operand is skipped when a left table of `full` or 0 decides the node
+    by `_FOLD`, as in `residual_least`."""
     values: list[int] = []
     todo: list = [f]
     half = 0  # the half-width
@@ -193,31 +189,32 @@ def _table(f: Formula, leaf: dict[Atom, int], full: int) -> int:
                     values = [v | v << half for v in values]
                     full |= full << half
                 values.append(leaf.setdefault(node.atom, full >> half << half))
-        elif kind is tuple:  # (opcode, right operand), left value on top
-            op, a = node[0], values[-1]
-            if op == _OR and a == full or op in (_AND, _IMPLIES) and a == 0:
-                values[-1] = full if op == _IMPLIES else a
+        elif kind is tuple:  # (connective, right operand), left value on top
+            a = values[-1]
+            rule = _FOLD[node[0]][a == 0] if a == full or a == 0 else None
+            if type(rule) is Const:
+                values[-1] = full if rule is TRUE else 0
             else:
                 todo += node
-        elif kind is int:  # an opcode, its operands on top of values
-            b = 0 if node == _NOT else values.pop()
+        elif kind is type:  # a connective class, its operands on top of values
+            b = 0 if node is Not else values.pop()
             a = values[-1]
-            if node == _AND:
+            if node is And:
                 values[-1] = a & b
-            elif node == _OR:
+            elif node is Or:
                 values[-1] = a | b
             else:  # !a swaps the halves of a ^ full; a -> b is !a | b
                 na, nb = a ^ full, b ^ full
                 if half:
                     na = (na >> half | na << half) & full
                     nb = (nb >> half | nb << half) & full
-                values[-1] = (na | b) & (nb | a) if node == _IFF else na | b
+                values[-1] = (na | b) & (nb | a) if node is Iff else na | b
         elif kind is Not:
-            todo += (_NOT, node.arg)
+            todo += (Not, node.arg)
         elif kind is Const:
             values.append(full if node.value else 0)
-        elif kind in _BINARY_OPCODE:
-            todo += ((_BINARY_OPCODE[kind], node.right), node.left)
+        elif kind in _FOLD:
+            todo += ((kind, node.right), node.left)
         else:
             raise TypeError(f"not a formula: {node!r}")
     return values[0]

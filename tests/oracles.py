@@ -28,8 +28,8 @@ from partialsat import (
     FALSE,
     Iff,
     Implies,
+    InconsistentAssignmentError,
     LossCase,
-    Literal,
     LossReport,
     Not,
     Or,
@@ -190,7 +190,7 @@ def _parse_not(s):
 def ref_parse_assignment(text):
     """`parse_assignment` on a `TokenStream`."""
     stream = TokenStream(ref_tokenize(text))
-    literals = []
+    pairs = []
     if stream.peek().kind != "EOF":
         while True:
             positive = True
@@ -198,14 +198,20 @@ def ref_parse_assignment(text):
                 stream.next()
                 positive = False
             tok = stream.expect("NAME", "an atom name")
-            literals.append(Literal(Atom(tok.text), positive))
+            pairs.append((Atom(tok.text), positive))
             if stream.peek().kind != "COMMA":
                 break
             stream.next()
     tok = stream.peek()
     if tok.kind != "EOF":
         raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column)
-    return Assignment.from_literals(literals)
+    bindings = {}
+    for atom, positive in pairs:
+        if bindings.get(atom, positive) != positive:
+            raise InconsistentAssignmentError(
+                f"inconsistent literal set: both {atom} and !{atom}")
+        bindings[atom] = positive
+    return Assignment(bindings)
 
 
 def ref_parse_existential(text):

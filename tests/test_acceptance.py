@@ -208,7 +208,7 @@ def test_criterion_5_semantic_property_suite():
                 forced = forced.bind(fresh, sat_total(definition, forced))
             assert sat_total(f, eta) == sat_total(result.cnf, forced)
         if result.fresh_atoms:
-            flipped = {lit.atom: lit.positive for lit in forced.literals()}
+            flipped = {a: forced.value(a) for a in forced.domain}
             victim = rng.choice(result.fresh_atoms)
             flipped[victim] = not flipped[victim]
             assert not sat_total(result.cnf, Assignment(flipped))

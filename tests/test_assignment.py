@@ -12,7 +12,6 @@ from partialsat import (
     EMPTY_ASSIGNMENT,
     ExistentialFormula,
     InconsistentAssignmentError,
-    Literal,
     ParseError,
     TRUE,
     build_obdd,
@@ -29,21 +28,6 @@ A1, A2, A3, B1 = Atom("A1"), Atom("A2"), Atom("A3"), Atom("B1")
 
 
 class TestConstruction:
-    def test_from_literals_polarity(self):
-        mu = Assignment.from_literals(
-            [Literal(A1, True), Literal(A3, False)]
-        )
-        assert mu.value(A1) is True
-        assert mu.value(A3) is False
-        assert mu.value(A2) is None
-
-    def test_from_literals_empty(self):
-        assert Assignment.from_literals([]) == EMPTY_ASSIGNMENT
-
-    def test_from_literals_inconsistent(self):
-        with pytest.raises(InconsistentAssignmentError):
-            Assignment.from_literals([Literal(A1, True), Literal(A1, False)])
-
     def test_domain_and_len(self):
         mu = Assignment({A1: True, A2: False})
         assert mu.domain == frozenset({A1, A2})
@@ -62,6 +46,9 @@ class TestViews:
     def test_literals_sorted(self):
         mu = Assignment({A2: False, A1: True})
         assert [str(lit) for lit in mu.literals()] == ["A1", "!A2"]
+        # the view is the literal texts themselves, plain strs
+        assert mu.literals() == ("A1", "!A2")
+        assert all(type(lit) is str for lit in mu.literals())
 
     def test_str_literal_set_syntax(self):
         assert str(Assignment({A1: True, A3: False})) == "A1, !A3"
@@ -161,6 +148,17 @@ class TestParseAssignment:
     def test_inconsistent(self):
         with pytest.raises(InconsistentAssignmentError):
             parse_assignment("A1, !A1")
+
+    def test_a_parse_error_comes_before_an_inconsistency(self):
+        # the conflict check runs only on a text that parses to its end, and
+        # names the first atom whose second literal contradicts its first
+        with pytest.raises(ParseError, match="unexpected '\\)'"):
+            parse_assignment("A1, !A1 )")
+        for text, atom in (("A2, !A2, A1, !A1", "A2"), ("A1, A2, !A2, !A1", "A2"),
+                           ("!B1, A1, A1, B1", "B1")):
+            with pytest.raises(InconsistentAssignmentError,
+                               match=f"^inconsistent literal set: both {atom} and !{atom}$"):
+                parse_assignment(text)
 
     def test_syntax_errors(self):
         with pytest.raises(ParseError):

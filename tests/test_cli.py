@@ -87,6 +87,19 @@ class TestCheck:
         assert code == 1
         assert out == "entails: false\nwitness: !A1\n"
 
+    @pytest.mark.parametrize("formula, flag, message", [
+        ("exists B1 . A1 | B1", "--branch-budget",
+         "--branch-budget applies only to a formula without exists"),
+        ("A1 | A2", "--expansion-cap", "--expansion-cap applies only to an exists formula"),
+    ])
+    def test_a_limit_option_the_input_never_reads_is_refused(self, capsys, monkeypatch,
+                                                             formula, flag, message):
+        assert invoke(capsys, "check", "-f", formula, "-a", "A1", flag, "0") == (
+            2, "", f"error: {message}\n")
+        # its environment variable is resolved, but not refused
+        monkeypatch.setenv("PARTIALSAT_" + flag[2:].replace("-", "_").upper(), "0")
+        assert invoke(capsys, "check", "-f", formula, "-a", "A1")[0] == 0
+
     def test_json(self, capsys):
         code, out, _ = invoke(capsys, "check", "-f", GAP, "-a", "A1", "--json")
         assert code == 0

@@ -133,7 +133,7 @@ class TestTseitinProperties:
                 for fresh, definition in result.definitions:
                     forced = forced.bind(fresh, sat_total(definition, forced))
                 assert sat_total(f, eta) == sat_total(result.cnf, forced)
-                bindings = {lit.atom: lit.positive for lit in forced.literals()}
+                bindings = {a: forced.value(a) for a in forced.domain}
                 for fresh in result.fresh_atoms:
                     flipped = dict(bindings)
                     flipped[fresh] = not flipped[fresh]

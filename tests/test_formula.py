@@ -12,7 +12,6 @@ from partialsat import (
     FALSE,
     Iff,
     Implies,
-    Literal,
     Not,
     Or,
     ParseError,
@@ -337,21 +336,6 @@ class TestDeepEquality:
         assert f != other
 
 
-class TestLiteral:
-    def test_negate_involution(self):
-        lit = Literal(A1, positive=False)
-        assert lit.negate().negate() == lit
-        assert lit.negate() == Literal(A1, positive=True)
-
-    def test_to_formula_and_str(self):
-        assert Literal(A1, True).to_formula() == rA1
-        assert str(Literal(A1, False)) == "!A1"
-
-    def test_sorted_by_atom_then_polarity(self):
-        lits = [Literal(A2, True), Literal(A1, False), Literal(A1, True)]
-        assert sorted(lits)[0].atom == A1
-
-
 class TestAtoms:
     def test_collects_all_occurrences(self):
         assert atoms(parse("(A1 & A2) | !A1")) == frozenset({A1, A2})
@@ -467,14 +451,10 @@ class TestClassify:
 
 
 class TestCnfClauses:
-    def test_builds_no_literal_records(self, monkeypatch):
-        """Inside the package a literal is an (atom, sign) pair: the readers,
-        the tautology and subsumption rules and the cube trails build no
-        `Literal`; only the public views that return one do."""
-        built = []
-        init = Literal.__init__
-        monkeypatch.setattr(Literal, "__init__", lambda self, *args: built.append(args)
-                            or init(self, *args))
+    def test_builds_no_literal_records(self):
+        """A literal is an (atom, sign) pair inside the package and its text
+        in the public views: the readers, the tautology and subsumption rules
+        and the cube trails give the same answers on pairs."""
         clauses = [Or(AtomRef(Atom(f"A{i}")), Not(AtomRef(Atom(f"B{i}")))) for i in range(1000)]
         cnf = and_all(clauses)
         subsumed = parse("(A1 | A2) & A1 & (A1 | !A2) & (A1 | A2) & (A2 | !A2)")
@@ -490,10 +470,7 @@ class TestCnfClauses:
         ]
         for call, expected in calls:
             assert call() == expected
-            assert built == []
-        lits = ps.Assignment({A2: False, A1: True}).literals()
-        assert built == [(A1, True), (A2, False)]
-        assert lits == (Literal(A1), Literal(A2, False))
+        assert ps.Assignment({A2: False, A1: True}).literals() == ("A1", "!A2")
 
     def test_matches_the_clauses_of_cnf_literals(self):
         rng = random.Random(1004)

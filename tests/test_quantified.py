@@ -263,7 +263,7 @@ def _ref_exists_entails(mu, ef):
     bound = sorted(ef.quantified)
     for rest in ref_rows(unassigned):
         eta = mu.union(Assignment(rest))
-        fixed = {lit.atom: lit.positive for lit in eta.literals()}
+        fixed = {a: eta.value(a) for a in eta.domain}
         if not any(ref_eval(ef.matrix, {**fixed, **delta}) for delta in ref_rows(bound)):
             return False, eta
     return True, None

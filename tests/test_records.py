@@ -22,7 +22,6 @@ from partialsat import (
     ExistentialFormula,
     Iff,
     Implies,
-    Literal,
     LossCase,
     LossReport,
     ModeComparison,
@@ -56,7 +55,6 @@ RECORDS = [
     (Or, ("left", "right"), (rA1, rA2), (rA2, rA1), {}),
     (Implies, ("left", "right"), (rA1, rA2), (rA2, rA1), {}),
     (Iff, ("left", "right"), (rA1, rA2), (rA2, rA1), {}),
-    (Literal, ("atom", "positive"), (A1, False), (A2, True), {"positive": True}),
     (StructureReport,
      ("is_literal", "is_clause", "is_cube", "is_cnf", "is_tautology_free_cnf"),
      (True, False, True, False, True), (False, True, False, True, False), {}),
@@ -169,9 +167,8 @@ def test_atom_and_literal_order():
     assert Atom("A1").name is Atom("A1").name  # interned: one object per name
     assert sorted([A2, Atom("A10"), A1]) == [A1, Atom("A10"), A2]
     assert Atom("A1") <= Atom("A1") < Atom("B") and Atom("B") >= Atom("A1")
-    lits = [Literal(A2), Literal(A1, False), Literal(A1)]
-    assert sorted(lits) == [Literal(A1), Literal(A1, False), Literal(A2)]
-    assert Literal(A1) < Literal(A1, False) <= Literal(A1, False) < Literal(A2)
+    # a literal is its text, listed atom-lexicographic
+    assert parse_assignment("A2, !A10, !A1").literals() == ("!A1", "!A10", "A2")
 
 
 @pytest.mark.parametrize("name", ["true", "false", "exists", "1A", "A-1", ""])
