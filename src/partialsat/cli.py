@@ -7,7 +7,7 @@ alone writes stdout: the JSON document under `--json`, else the text lines
 it derives from the payload, and nothing on an error.  `run` resolves
 each limit option of the verb once, before the verb runs, and the verb
 passes those integers to every library call.  `check` refuses a limit
-option given on the command line (`args.given`) that its input never reads.
+option on the command line (`args.given`) that its input or mode never reads.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from .enumeration import (
 )
 from .errors import PartialSatError, ResourceLimitError
 from .formula import Atom, parse
-from .partial_sat import verdict
+from .partial_sat import validates, verdict
 from .predabs import compare_modes, enumerate_abstraction, problem_from_json
 from .quantified import (
     exists_entails,
@@ -200,15 +200,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_check(args: argparse.Namespace) -> tuple[dict, int]:
     ef = parse_existential(_formula_text(args))
-    if ef.quantified and "branch_budget" in args.given:
-        raise ValueError("--branch-budget applies only to a formula without exists")
-    if not ef.quantified and "expansion_cap" in args.given:
-        raise ValueError("--expansion-cap applies only to an exists formula")
+    validating = args.mode == "validates"
+    for dest, refused, where in (("branch_budget", ef.quantified, "a formula without exists"),
+                                 ("expansion_cap", not ef.quantified, "an exists formula"),
+                                 ("max_atoms", validating, "--mode entails or both"),
+                                 ("branch_budget", validating, "--mode entails or both")):
+        if refused and dest in args.given:
+            raise ValueError(f"--{dest.replace('_', '-')} applies only to {where}")
     mu = parse_assignment(args.assign)
-    delta = witness = None
+    v = e = delta = witness = None
     if ef.quantified:
-        v, delta = exists_validates(mu, ef, args.expansion_cap)
-        e, witness = exists_entails(mu, ef, args.max_atoms, args.expansion_cap)
+        if args.mode != "entails":
+            v, delta = exists_validates(mu, ef, args.expansion_cap)
+        if not validating:
+            e, witness = exists_entails(mu, ef, args.max_atoms, args.expansion_cap)
+    elif validating:
+        v = validates(mu, ef.matrix)
     else:
         sv = verdict(mu, ef.matrix, atom_cap=args.max_atoms,
                      branch_budget=args.branch_budget)

@@ -296,28 +296,18 @@ def tableaux_enumerate(
         literals = dict(literals)
         while pending:
             x = pending.pop(0)
-            if isinstance(x, Const):
-                if x.value:
-                    continue
-                return None
-            if isinstance(x, AtomRef):
-                if literals.get(x.atom) is False:
+            pair = _pair(x)
+            if pair is not None:
+                if literals.setdefault(*pair) is not pair[1]:
                     return None
-                literals[x.atom] = True
                 continue
             if isinstance(x, And):
                 pending += (x.left, x.right)
                 continue
-            assert isinstance(x, Not)
-            inner = x.arg
-            if isinstance(inner, Const):
-                if inner.value:
+            inner = x.arg if isinstance(x, Not) else x
+            if isinstance(inner, Const):  # holds when true, or false under a Not
+                if inner.value is not (inner is x):
                     return None
-                continue
-            if isinstance(inner, AtomRef):
-                if literals.get(inner.atom) is True:
-                    return None
-                literals[inner.atom] = False
                 continue
             if isinstance(inner, Not):
                 pending.append(inner.arg)

@@ -128,20 +128,15 @@ def extend_to_validating(
     to {A1, A2} for (A1 & A2) | (A1 & !A2); ValueError when mu does not
     entail f.
 
-    At each step the most frequent atom of the residual is bound, preferring
-    the polarity that keeps the evaluation from going false.  The result is
-    minimal only by construction (the extension stops as soon as the residual
-    reaches `true`); no global minimality is attempted.
+    At each step the most frequent atom of the residual is bound true: the
+    residual is valid, and binding an atom keeps it valid, so it never goes
+    false.  The result is minimal only by construction (the extension stops
+    as soon as the residual reaches `true`); no global minimality is attempted.
     """
     r = residual(f, mu)
     if not _entails_with_witness(mu, f, atom_cap, branch_budget, r)[0]:
         raise ValueError("precondition violated: mu does not entail f")
-    current = mu
     while r != TRUE:
         atom = _most_frequent_atom(r)
-        r_true = residual(r, Assignment({atom: True}))
-        if r_true != FALSE:
-            current, r = current.bind(atom, True), r_true
-        else:
-            current, r = current.bind(atom, False), residual(r, Assignment({atom: False}))
-    return current
+        mu, r = mu.bind(atom, True), residual(r, Assignment({atom: True}))
+    return mu

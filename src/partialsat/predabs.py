@@ -99,10 +99,10 @@ def enumerate_abstraction(
 ) -> EnumResult:
     """Enumerate the abstraction as pairwise-inconsistent label cubes.
 
-    DPLL over the label atoms in predicate order: a branch closes when the
-    matrix is unsatisfiable under the cube, yields when the cube passes the
-    mode's check (exists-validates or exists-entails), and otherwise forces
-    failed literals before splitting on the next unassigned label.
+    DPLL over the label atoms in predicate order: a cube yields when it
+    passes the mode's check (exists-validates or exists-entails), and
+    otherwise forces failed literals, found by lookahead, before splitting on
+    the next unassigned label; no cube that is unsatisfiable is ever opened.
     """
     atom_cap = limits.resolve("MAX_ATOMS", atom_cap)
     expansion_cap = limits.resolve("EXPANSION_CAP", expansion_cap)
@@ -113,34 +113,32 @@ def enumerate_abstraction(
 def _label_cubes(p: PredAbsProblem, mode: str, expansion_cap: int,
                  atom_cap: int) -> tuple[ExistentialFormula, tuple[Assignment, ...]]:
     """The existential formula of p and its label cubes in `mode`, found on
-    `enumeration._search` with no branch budget, under resolved caps; the
-    expansion cap checked last, where `enumerate_abstraction` expands: an
+    `enumeration._search` with no branch budget, under resolved caps.  Every
+    stacked state is satisfiable: the root is tested once, a child by the
+    lookahead probes that made it.  The expansion cap is checked last, as an
     unsatisfiable matrix reaches no leaf test, which checks it too."""
     if mode not in ("validating", "entailing"):
         raise ValueError(f"unknown enumeration mode: {mode!r}")
     ef = to_existential(p)
     labels = [label for label, _ in p.predicates]
 
-    def satisfiable_with(mu: Assignment) -> bool:
-        return brute_satisfiable(residual(ef.matrix, mu), atom_cap)
-
     def step(mu: Assignment):
-        if not satisfiable_with(mu):
-            return None
         if (exists_validates(mu, ef, expansion_cap) if mode == "validating"
                 else exists_entails(mu, ef, atom_cap, expansion_cap))[0]:
             return mu
+        r = residual(ef.matrix, mu)
         free = [label for label in labels if label not in mu]
-        forced = next(((label, not value) for label in free for value in (True, False)
-                       if not satisfiable_with(mu.bind(label, value))), None)
-        if forced is not None:
-            return (mu.bind(*forced),)
+        for label in free:
+            for value in (True, False):
+                if not brute_satisfiable(residual(r, Assignment({label: value})), atom_cap):
+                    return (mu.bind(label, not value),)
         assert free, "a total open cube must pass its leaf test"
         return mu.bind(free[0], False), mu.bind(free[0], True)
 
-    cubes = tuple(_search(Assignment({}), step))
-    if ef.quantified:
-        limits.check(len(ef.quantified), expansion_cap, _EXPANDING)
+    root = Assignment({})
+    cubes = (tuple(_search(root, step))
+             if brute_satisfiable(residual(ef.matrix, root), atom_cap) else ())
+    limits.check(len(ef.quantified), expansion_cap, _EXPANDING)
     return ef, cubes
 
 

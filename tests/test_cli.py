@@ -100,6 +100,30 @@ class TestCheck:
         monkeypatch.setenv("PARTIALSAT_" + flag[2:].replace("-", "_").upper(), "0")
         assert invoke(capsys, "check", "-f", formula, "-a", "A1")[0] == 0
 
+    def test_validates_mode_decides_no_entailment(self, capsys, monkeypatch):
+        # deciding entailment here would exhaust the default branch budget
+        tautologies = "".join(f" & (B{i} | !B{i})" for i in range(1, 24))
+        assert invoke(capsys, "check", "-f", "A1" + tautologies, "-a", "A1",
+                      "--mode", "validates") == (1, "validates: false\n", "")
+        # ... and here would exceed the atom cap
+        monkeypatch.setenv("PARTIALSAT_MAX_ATOMS", "0")
+        assert invoke(capsys, "check", "-f", "exists B1 . (A1 & B1) | A2", "-a", "A2",
+                      "--mode", "validates") == (0, "validates: true\ndelta: B1\n", "")
+
+    @pytest.mark.parametrize("formula, flag", [
+        ("A1 | A2", "--max-atoms"),
+        ("A1 | A2", "--branch-budget"),
+        ("exists B1 . A1 | B1", "--max-atoms"),
+    ])
+    def test_a_limit_option_validation_never_reads_is_refused(self, capsys, monkeypatch,
+                                                              formula, flag):
+        argv = ("check", "-f", formula, "-a", "A1", "--mode", "validates")
+        assert invoke(capsys, *argv, flag, "0") == (
+            2, "", f"error: {flag} applies only to --mode entails or both\n")
+        # its environment variable is resolved, but not refused
+        monkeypatch.setenv("PARTIALSAT_" + flag[2:].replace("-", "_").upper(), "0")
+        assert invoke(capsys, *argv)[0] == 0
+
     def test_json(self, capsys):
         code, out, _ = invoke(capsys, "check", "-f", GAP, "-a", "A1", "--json")
         assert code == 0

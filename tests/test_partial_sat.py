@@ -271,6 +271,23 @@ class TestExtendToValidating:
             assert validates(eta, f)
         assert checked > 20
 
+    def test_every_added_atom_is_bound_true(self):
+        """f|mu is valid, and binding an atom keeps it valid, so no binding
+        makes the residual false and the extension never binds an atom false."""
+        rng = random.Random(4012)
+        extended = 0
+        for _ in range(4_000):
+            pool = atom_pool(rng.randint(1, 6))
+            f = random_formula(rng, pool, max_depth=rng.randint(1, 5), const_chance=0.15)
+            mu = random_partial_assignment(rng, pool, bind_chance=rng.random() * 0.8)
+            if not entails(mu, f):
+                continue
+            eta = extend_to_validating(mu, f)
+            assert all(eta.value(atom) for atom in eta.domain - mu.domain), (mu, f)
+            assert validates(eta, f)
+            extended += eta != mu
+        assert extended > 200  # pairs where mu entails f but does not validate it
+
 
 class TestOneResidualPerCheck:
     def test_verdict_matches_the_two_residual_verdict(self):
