@@ -29,7 +29,7 @@ class Assignment:
 
     __slots__ = ("_bindings",)
 
-    def __init__(self, bindings: Mapping[Atom, bool] = ()):
+    def __init__(self, bindings: Mapping[Atom, bool] | Iterable[tuple[Atom, bool]] = ()):
         self._bindings = dict(bindings)
 
     @property

@@ -7,7 +7,8 @@ listing is never longer than the DPLL one.  The three engines, like
 predicate abstraction's label cubes, run on one depth-first driver,
 `_search`, and the OBDD build and the diagram walks on explicit stacks, so
 neither formula depth nor the number of diagram levels is bounded by the
-recursion limit.
+recursion limit.  The DPLL listing replays the subtree of a residual it
+has met (formula caching, Bacchus, Dalmao and Pitassi, FOCS 2003).
 """
 from __future__ import annotations
 
@@ -328,35 +329,65 @@ def tableaux_enumerate(
     )
 
 
-def _dpll_walk(f: Formula, budget: limits.Budget):
+def _dpll_walk(f: Formula, budget: limits.Budget, every: bool = False):
     """Yield validating partial assignments on `_search`: branch on the
     lexicographically least atom of the residual (true first), bind forced
     literals, record a branch when the residual folds to true, close on
     false.
 
-    A state is (trail, r, least atom of r, decision).  Its step binds the
-    decision, then each forced literal, one `residual_least` pass per
-    binding on the trail, None or (trail, atom, value).  The input is
-    branched on unfolded."""
+    A state is (trail, r, least atom of r, decision, parent record).  Its
+    step binds the decision, then each forced literal, one `residual_least`
+    pass per binding on the trail, None or (trail, atom, value).  The input
+    is branched on unfolded.
+
+    When `every` cube is taken, the walk hash-conses its residuals and
+    keeps, under id(r), the record `[r, bindings, outcome, bindings,
+    outcome]` of each branch state's children, true first: the bindings
+    its step made and True (a cube), False (a close) or the record reached.
+    A branch state met again (by identity) is replayed from its record as
+    states (trail, bindings, outcome): the same states in the same order,
+    each split spending the budget, with no residual pass.  A first cube
+    could reuse only failed subtrees, so that walk keeps no records."""
+    memo: dict = {}  # stays empty unless every cube is taken
+    cons = {} if every else None
 
     def step(state):
-        trail, r, least, decision = state
-        while True:
-            if decision is not None:
-                atom, value = decision
+        if len(state) == 3:  # a replay
+            trail, made, out = state
+            for atom, value in made:
                 trail = (trail, atom, value)
-                r, least = residual_least(r, {atom: value})
-            if type(r) is Const:
-                return _trail_assignment(trail) if r.value else None
-            decision = _pair(r)  # a literal residual is forced
-            if decision is not None:
-                continue
-            if least is None:  # an atom-free input that is not yet folded
-                r = residual(r, Assignment())
-            else:
-                return (trail, r, least, (least, False)), (trail, r, least, (least, True))
+        else:
+            trail, r, least, decision, parent = state
+            made = []
+            while True:
+                if decision is not None:
+                    atom, value = decision
+                    trail = (trail, atom, value)
+                    made.append(decision)
+                    r, least = residual_least(r, {atom: value}, cons)
+                if type(r) is Const:
+                    out = r.value
+                    break
+                decision = _pair(r)  # a literal residual is forced
+                if decision is not None:
+                    continue
+                if least is None:  # an atom-free input that is not yet folded
+                    r = residual(r, Assignment())
+                    continue
+                out = memo.get(id(r))  # complete: no residual below r has r's least atom
+                if out is not None:
+                    break
+                if every:
+                    out = memo[id(r)] = [r]
+                    parent += (tuple(made), out)
+                return (trail, r, least, (least, False), out), (trail, r, least, (least, True), out)
+            if every:
+                parent += (tuple(made), out)
+        if type(out) is bool:
+            return _trail_assignment(trail) if out else None
+        return (trail, out[3], out[4]), (trail, out[1], out[2])
 
-    return _search((None, f, min(atoms(f), default=None), None), step, budget)
+    return _search((None, f, min(atoms(f), default=None), None, []), step, budget)
 
 
 def _trail_assignment(trail) -> Assignment:
@@ -365,7 +396,7 @@ def _trail_assignment(trail) -> Assignment:
     while trail is not None:
         trail, atom, value = trail
         bound.append((atom, value))
-    return Assignment(dict(reversed(bound)))
+    return Assignment(reversed(bound))
 
 
 def dpll_enumerate(f: Formula, branch_budget: int | None = None) -> EnumResult:
@@ -373,7 +404,7 @@ def dpll_enumerate(f: Formula, branch_budget: int | None = None) -> EnumResult:
     the assignments are pairwise inconsistent, and their disjunction is
     equivalent to f.  The pure-literal rule is off, as it would skip cubes."""
     budget = limits.Budget(limits.resolve("BRANCH_BUDGET", branch_budget), "DPLL branching")
-    collected = tuple(_dpll_walk(f, budget))
+    collected = tuple(_dpll_walk(f, budget, every=True))
     return EnumResult(
         engine="dpll",
         mode="validating",

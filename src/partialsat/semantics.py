@@ -70,13 +70,25 @@ def residual(f: Formula, mu: Assignment) -> Formula:
     return residual_least(f, mu._bindings)[0]
 
 
-def residual_least(f: Formula, value: dict[Atom, bool]) -> tuple[Formula, Atom | None]:
+def _consed(cons: dict, kind: type, *operands: Formula) -> Formula:
+    """kind(*operands), made once per key (kind, *operand ids) in `cons`,
+    packed in one int: an id fits in 64 bits, and a kind has one arity."""
+    key = id(kind)
+    for operand in operands:
+        key = key << 64 | id(operand)
+    return cons.get(key) or cons.setdefault(key, kind(*operands))
+
+
+def residual_least(f: Formula, value: dict[Atom, bool],
+                   cons: dict | None = None) -> tuple[Formula, Atom | None]:
     """The residual of f under the atoms bound in `value`, with its least
     atom (None for a constant), kept per operand on a stack beside the
     values, so an operand folded away never gives one.  Iterative, so depth
     is not bounded by the recursion limit; a right operand is skipped once
     the left residual decides the node (`false` under & and ->, `true`
-    under |), and a node whose operands come back unchanged is not rebuilt."""
+    under |), and a node whose operands come back unchanged is not rebuilt.
+    Calls that share a `cons` dict hash-cons the nodes they rebuild, so a
+    residual rebuilt from the same operands is one object."""
     get = value.get
     values: list[Formula] = []
     least: list = []
@@ -110,7 +122,8 @@ def residual_least(f: Formula, value: dict[Atom, bool]) -> tuple[Formula, Atom |
                     rule, other, low = _FOLD[kind][2 + (b is FALSE)], a, least[-1]
                 else:
                     same = a is node.left and b is node.right
-                    values[-1] = node if same else kind(a, b)
+                    values[-1] = (node if same else kind(a, b) if cons is None
+                                  else _consed(cons, kind, a, b))
                     if low < least[-1]:
                         least[-1] = low
                     continue
@@ -121,7 +134,8 @@ def residual_least(f: Formula, value: dict[Atom, bool]) -> tuple[Formula, Atom |
             elif other is TRUE or other is FALSE:
                 values[-1] = FALSE if other is TRUE else TRUE
             else:
-                values[-1] = node if kind is Not and other is node.arg else Not(other)
+                values[-1] = (node if kind is Not and other is node.arg else Not(other)
+                              if cons is None else _consed(cons, Not, other))
             least[-1] = low  # None when values[-1] is a constant
         elif kind in _FOLD:
             todo += ((node, node.right), node.left)

@@ -11,6 +11,7 @@ from partialsat import (
     EnumResult,
     FALSE,
     Not,
+    Or,
     PredAbsProblem,
     ResourceLimitError,
     TRUE,
@@ -86,9 +87,28 @@ def _count_passes(monkeypatch):
     calls = []
     for name in ("residual", "residual_least"):
         real = getattr(enumeration, name)
-        monkeypatch.setattr(enumeration, name,
-                            lambda f, mu, real=real: calls.append(1) or real(f, mu))
+        monkeypatch.setattr(enumeration, name, lambda f, mu, *cons, real=real:
+                            calls.append(1) or real(f, mu, *cons))
     return calls
+
+
+def _every_cube(f, budget):
+    """The walk of `dpll_enumerate`, which replays the residuals it has met."""
+    return _dpll_walk(f, budget, every=True)
+
+
+def _cover(n):
+    """(A01 | A02) & ... & (An-1 | An), atoms in index order."""
+    pool = [AtomRef(Atom(f"A{i:02d}")) for i in range(1, n + 1)]
+    return and_all(Or(a, b) for a, b in zip(pool, pool[1:]))
+
+
+def _random_3cnf(rng, n):
+    """A random 3-CNF over n atoms at clause/atom ratio 2, where part of
+    the residuals recur across trails."""
+    pool = atom_pool(n)
+    return and_all(or_all(AtomRef(a) if rng.random() < 0.5 else Not(AtomRef(a))
+                          for a in rng.sample(pool, 3)) for _ in range(2 * n))
 
 
 def _reachable(bdd):
@@ -438,9 +458,10 @@ class TestDpllEnumerate:
         assert dpll_first_assignment(parse("A1 & !A1")) is None
 
     def test_matches_recursive_walker(self, monkeypatch):
-        """Same cubes in the same order, the same branches spent, and one
-        walker pass per residual the reference takes, also when only the
-        first cube is taken."""
+        """Same cubes in the same order and the same branches spent.  A
+        walk for the first cube takes one pass per residual the reference
+        takes; a full listing replays the residuals it has met, so it takes
+        no more."""
         calls = _count_passes(monkeypatch)
 
         def run(walk, f, first):
@@ -455,8 +476,12 @@ class TestDpllEnumerate:
             f = random_formula(rng, atom_pool(rng.randint(1, 8)),
                                max_depth=rng.randint(0, 7), const_chance=0.2)
             for first in (False, True):
+                walk = _dpll_walk if first else _every_cube
                 if atoms(f) or f in (TRUE, FALSE):
-                    assert run(_dpll_walk, f, first) == run(ref_dpll_walk, f, first)
+                    *got, passes = run(walk, f, first)
+                    *want, ref_passes = run(ref_dpll_walk, f, first)
+                    assert got == want
+                    assert passes == ref_passes if first else passes <= ref_passes
                     continue
                 # an atom-free input that is not a constant: the reference
                 # raises from min(atoms(r)); the walker folds it once
@@ -467,24 +492,35 @@ class TestDpllEnumerate:
                     listing = (empty,)
                 else:
                     listing = (None,) if first else ()
-                assert run(_dpll_walk, f, first) == (listing, 0, 1)
+                assert run(walk, f, first) == (listing, 0, 1)
+
+    @staticmethod
+    def _run_listing(calls, walk, f, limit):
+        """(cubes with their bindings in the order they were made, branches
+        spent, the budget's message or None, passes) of one full listing."""
+        calls.clear()
+        budget = Budget(limit, "DPLL branching")
+        cubes, blown = [], None
+        try:
+            cubes.extend(list(mu._bindings.items()) for mu in walk(f, budget))
+        except ResourceLimitError as exc:
+            blown = str(exc)
+        return cubes, budget.used, blown, len(calls)
+
+    def _matches_reference(self, calls, f, limit):
+        """The listing's cubes, branches and blown budget are the
+        reference's, after no more passes; whether the budget blew."""
+        *got, passes = self._run_listing(calls, _every_cube, f, limit)
+        *want, ref_passes = self._run_listing(calls, ref_dpll_walk, f, limit)
+        assert got == want, str(f)
+        assert passes <= ref_passes
+        return got[2] is not None
 
     def test_matches_recursive_walker_at_12_to_14_atoms(self, monkeypatch):
         """Cubes (with their bindings in the order they were made), their
-        order, branches and passes as the reference, and a blown budget at
-        the same branch after the same cubes."""
+        order and branches as the reference, and a blown budget at the same
+        branch after the same cubes."""
         calls = _count_passes(monkeypatch)
-
-        def run(walk, f, limit):
-            calls.clear()
-            budget = Budget(limit, "DPLL branching")
-            cubes = []
-            try:
-                cubes.extend(list(mu._bindings.items()) for mu in walk(f, budget))
-            except ResourceLimitError as exc:
-                return cubes, budget.used, len(calls), str(exc)
-            return cubes, budget.used, len(calls)
-
         rng = random.Random(7011)
         pool = atom_pool(14)
         outcomes = []
@@ -493,10 +529,44 @@ class TestDpllEnumerate:
             if not 12 <= len(atoms(f)) <= 14:
                 continue
             limit = rng.choice((10_000, rng.randint(0, 60)))
-            got = run(_dpll_walk, f, limit)
-            assert got == run(ref_dpll_walk, f, limit), str(f)
-            outcomes.append(len(got))
-        assert set(outcomes) == {3, 4}  # both finished and blown searches
+            outcomes.append(self._matches_reference(calls, f, limit))
+        assert set(outcomes) == {False, True}  # both finished and blown searches
+
+    def test_matches_recursive_walker_on_ratio_2_3cnf(self, monkeypatch):
+        """Random 3-CNF at 12-14 atoms and ratio 2, where only part of the
+        subtrees recur: the reference's listing, finished or blown."""
+        calls = _count_passes(monkeypatch)
+        rng = random.Random(7015)
+        outcomes = [self._matches_reference(calls, _random_3cnf(rng, rng.randint(12, 14)),
+                                            rng.choice((10_000, rng.randint(0, 60))))
+                    for _ in range(24)]
+        assert set(outcomes) == {False, True}
+
+    @pytest.mark.parametrize("n", [10, 16, 20, 22])
+    def test_cover_lists_the_reference_cubes_in_linear_passes(self, monkeypatch, n):
+        """cover(n) has Fibonacci-many cubes over few distinct residuals:
+        the listing replays them, at most 4n passes where the reference
+        takes hundreds to about 10^5."""
+        calls = _count_passes(monkeypatch)
+        f = _cover(n)
+        cubes, used, blown, passes = self._run_listing(calls, _every_cube, f, 10**6)
+        assert (cubes, used, blown) == self._run_listing(calls, ref_dpll_walk, f, 10**6)[:3]
+        assert passes <= 4 * n
+
+    def test_listing_keeps_nothing_between_calls(self, monkeypatch):
+        calls = _count_passes(monkeypatch)
+        f = _random_3cnf(random.Random(7016), 14)
+        runs = []
+        for _ in range(2):
+            calls.clear()
+            runs.append((dpll_enumerate(f).assignments, len(calls)))
+        assert runs[0] == runs[1]
+
+    def test_ratio_2_3cnf_at_14_atoms_takes_fewer_passes(self, monkeypatch):
+        calls = _count_passes(monkeypatch)
+        f = _random_3cnf(random.Random(7017), 14)
+        passes = [self._run_listing(calls, walk, f, 10**6)[3] for walk in (_every_cube, _dpll_walk)]
+        assert passes[0] < passes[1]
 
     @pytest.mark.parametrize("text,cubes,branches", [
         ("A1 & true", ["A1"], 1),

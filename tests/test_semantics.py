@@ -363,6 +363,26 @@ class TestWalkerAgainstRecursiveOracles:
         assert residual_least(f, {})[1].name == "A1"
         assert residual_least(f, {"C3": True}) == (TRUE, None)
 
+    def test_a_shared_cons_dict_makes_one_object_per_residual(self):
+        """Calls that share `cons` return one object for a residual rebuilt
+        from the same operands, in whichever order its atoms were bound,
+        and it equals the residual; calls without it rebuild afresh."""
+        f = parse("(A1 | A2) & !(A3 -> A4 & A5) | A6")
+        cons = {}
+        got = []
+        for order in (("A1", "A4"), ("A4", "A1")):
+            r = f
+            for name in order:
+                r = residual_least(r, {name: name == "A4"}, cons)[0]
+            got.append(r)
+        assert got[0] is got[1]
+        assert got[0] == residual(f, Assignment({Atom("A1"): False, Atom("A4"): True}))
+        assert str(got[0]) == "A2 & !(A3 -> A5) | A6"
+        assert residual_least(f, {"A1": False})[0] is not residual_least(f, {"A1": False})[0]
+        x, y = Or(AtomRef(Atom("A1")), AtomRef(Atom("A2"))), AtomRef(Atom("A3"))
+        g = And(And(x, y), Or(x, y))  # two kinds over the same operand objects
+        assert str(residual_least(g, {"A2": False}, cons)[0]) == "A1 & A3 & (A1 | A3)"
+
     def test_unbound_formula_is_returned_not_rebuilt(self):
         f = parse("!(A1 -> A2) <-> (A3 | !!A4) & A5")
         assert residual(f, EMPTY_ASSIGNMENT) is f
