@@ -68,10 +68,10 @@ def _literal_strings(mu: Assignment | None) -> list[str] | None:
 
 
 def _text(value) -> str:
-    """A payload value as text: true/false, a comma-joined list, or str."""
+    """A payload value as text: true/false, a comma-joined list or `(empty)`, or str."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    return ", ".join(value) if isinstance(value, list) else str(value)
+    return (", ".join(value) or "(empty)") if isinstance(value, list) else str(value)
 
 
 def _field_lines(payload: dict) -> list[str]:
@@ -92,7 +92,7 @@ def _cnfize_lines(payload: dict) -> list[str]:
         return [payload["cnf"]]
     lines = [f"loss: {_text(payload['loss'])}"]
     for case in payload["cases"]:
-        line = f"delta {_text(case['delta']) or '(empty)'}: {case['outcome']}"
+        line = f"delta {_text(case['delta'])}: {case['outcome']}"
         if case["witness"] is not None:
             line += f" (witness: {_text(case['witness'])})"
         lines.append(line)

@@ -330,15 +330,15 @@ def tableaux_enumerate(
 
 
 def _dpll_walk(f: Formula, budget: limits.Budget, every: bool = False):
-    """Yield validating partial assignments on `_search`: branch on the
-    lexicographically least atom of the residual (true first), bind forced
-    literals, record a branch when the residual folds to true, close on
-    false.
+    """Yield validating cubes on `_search`: branch on the least atom of the
+    residual, true first, force a literal only when the whole residual is
+    one, yield a cube when it folds to true, close on false.  So the first
+    cube, filled with true over the atoms of f it leaves unbound, is
+    `first_satisfying(f)`, None together; `verdict`'s witness rests on this.
 
-    A state is (trail, r, least atom of r, decision, parent record).  Its
-    step binds the decision, then each forced literal, one `residual_least`
-    pass per binding on the trail, None or (trail, atom, value).  The input
-    is branched on unfolded.
+    A state is (trail, r, least atom of r, decision, parent record); its step
+    binds the decision, then each forced literal, one `residual_least` pass
+    each, on the trail (None or (trail, atom, value)); f is branched on unfolded.
 
     When `every` cube is taken, the walk hash-conses its residuals and
     keeps, under id(r), the record `[r, bindings, outcome, bindings,

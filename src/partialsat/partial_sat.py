@@ -8,7 +8,7 @@ mu = {A1} entails but does not validate (A1 & A2) | (A1 & !A2).
 """
 from __future__ import annotations
 
-from .assignment import Assignment
+from .assignment import EMPTY_ASSIGNMENT, Assignment
 from .formula import (
     Atom,
     AtomRef,
@@ -25,8 +25,8 @@ from . import enumeration, limits
 
 
 class SatVerdict(Record):
-    """Bundle of both checks; witness is a falsifying total extension,
-    present exactly when entails is false."""
+    """Both checks; when entails is false, witness is mu, the residual's
+    lexicographically first falsifier, and every other atom of f false."""
 
     __slots__ = ("validates", "entails", "witness")
     _defaults = {"witness": None}
@@ -40,11 +40,6 @@ def validates(mu: Assignment, f: Formula) -> bool:
     return eval3(f, mu) is TruthValue3.T
 
 
-def _fill_false(universe: set[Atom], bound: Assignment) -> Assignment:
-    rest = {a: False for a in universe if a not in bound}
-    return bound.union(Assignment(rest))
-
-
 def _entails_with_witness(
     mu: Assignment,
     f: Formula,
@@ -52,16 +47,16 @@ def _entails_with_witness(
     branch_budget: int | None = None,
     r: Formula | None = None,
 ) -> tuple[bool, Assignment | None]:
-    """mu ⊨ f, decided on r = f|mu (taken here when not given), with the
-    first falsifying extension when it fails."""
+    """mu ⊨ f, decided on r = f|mu (taken here when not given).  When it
+    fails, the witness is r's lexicographically first falsifier rho with mu
+    kept and every other atom of f false, whichever procedure found rho."""
     limits.refuse_negative(MAX_ATOMS=atom_cap, BRANCH_BUDGET=branch_budget)
     if r is None:
         r = residual(f, mu)
     if r is TRUE:
         return True, None
-    rho = None
+    found, rho = atoms(r), EMPTY_ASSIGNMENT  # r false: mu falsifies f
     if r is not FALSE:
-        found = atoms(r)
         cap = limits.resolve("MAX_ATOMS", atom_cap)  # read once
         if len(found) <= cap:
             rho = first_falsifying(r, cap, _atoms=found)
@@ -71,7 +66,9 @@ def _entails_with_witness(
             rho = enumeration.dpll_first_assignment(negated, branch_budget)
         if rho is None:
             return True, None
-    return False, _fill_false(set(atoms(f) | mu.domain), mu if rho is None else mu.union(rho))
+    # filled with true over r, a DPLL cube is the sweep's falsifier (see _dpll_walk)
+    return False, Assignment({**dict.fromkeys(atoms(f), False), **mu._bindings,
+                              **dict.fromkeys(found, True), **rho._bindings})
 
 
 def entails(
@@ -83,9 +80,9 @@ def entails(
     """True iff every total extension of mu satisfies f.
 
     Decided by checking validity of the residual f|mu: an exhaustive sweep
-    when the residual has at most `atom_cap` atoms, otherwise by refuting
-    its negation with the DPLL engine.  A blown budget raises ResourceLimitError, never
-    returns false.
+    when it has at most `atom_cap` atoms, otherwise a DPLL refutation of its
+    negation.  The cap picks the procedure, never the answer; a blown budget
+    raises ResourceLimitError, never returns false.
     """
     return _entails_with_witness(mu, f, atom_cap, branch_budget)[0]
 
@@ -96,8 +93,8 @@ def verdict(
     atom_cap: int | None = None,
     branch_budget: int | None = None,
 ) -> SatVerdict:
-    """Both checks at once, on one residual f|mu, with a falsifying
-    extension when entails fails."""
+    """Both checks at once, on one residual f|mu, with the witness of
+    `SatVerdict` when entails fails, the same at every `atom_cap`."""
     r = residual(f, mu)
     e, witness = _entails_with_witness(mu, f, atom_cap, branch_budget, r)
     assert e or r is not TRUE, "validation must imply entailment"

@@ -57,6 +57,18 @@ class TestCheck:
         assert code == 0
         assert out == "validates: false\nentails: false\nwitness: !A1, A2\n"
 
+    @pytest.mark.parametrize("cap", [(), ("--max-atoms", "0")])
+    def test_the_atom_cap_does_not_change_the_witness(self, capsys, cap):
+        # the residual's first falsifier, swept or refuted by DPLL
+        code, out, _ = invoke(capsys, "check", "-f", "!A1 & A2", "-a", "", *cap)
+        assert (code, out) == (0, "validates: false\nentails: false\nwitness: A1, A2\n")
+
+    def test_an_empty_witness_reads_empty(self, capsys):
+        code, out, _ = invoke(capsys, "check", "-f", "false", "-a", "")
+        assert (code, out) == (0, "validates: false\nentails: false\nwitness: (empty)\n")
+        code, out, _ = invoke(capsys, "check", "-f", "false", "--json")
+        assert json.loads(out)["witness"] == []
+
     def test_quantified_formula_uses_the_lifted_checks(self, capsys):
         code, out, _ = invoke(
             capsys, "check", "-f", f"exists B1 B2 . {CNF_OF_GAP}", "-a", "A1"

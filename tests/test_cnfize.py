@@ -379,6 +379,22 @@ class TestEntailmentLoss:
         ]
         assert {c.outcome for c in small.cases} == {"inconsistent", "falsified"}
 
+    def test_reports_do_not_depend_on_the_atom_cap(self):
+        """At a cap of 0 every residual goes to the DPLL refutation, and
+        each report, witnesses included, is the swept one."""
+        rng = random.Random(5006)
+        pool = atom_pool(5)
+        witnesses = 0
+        for _ in range(300):
+            f = random_formula(rng, pool, max_depth=3)
+            mu = random_partial_assignment(rng, pool, bind_chance=0.5)
+            if not entails(mu, f):
+                continue
+            report = check_entailment_loss(mu, f)
+            assert check_entailment_loss(mu, f, atom_cap=0) == report, (f, mu)
+            witnesses += sum(case.witness is not None for case in report.cases)
+        assert witnesses > 500
+
     def test_one_residual_of_the_cnf_per_delta(self, monkeypatch):
         """Each delta walks the CNF once, for "entailed" and for the split
         between "inconsistent" and "falsified" alike."""

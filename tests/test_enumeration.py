@@ -1,4 +1,5 @@
 """OBDD, tableaux, and non-CNF DPLL enumeration of partial assignments."""
+import collections
 import random
 import sys
 
@@ -24,6 +25,7 @@ from partialsat import (
     dpll_first_assignment,
     entails,
     enumerate_abstraction,
+    first_satisfying,
     obdd_enumerate,
     obdd_to_formula,
     or_all,
@@ -456,6 +458,29 @@ class TestDpllEnumerate:
         assert dpll_first_assignment(GAP) == parse_assignment("A1, A2")
         assert dpll_first_assignment(FALSE) is None
         assert dpll_first_assignment(parse("A1 & !A1")) is None
+
+    def test_first_cube_filled_with_true_is_the_first_model(self):
+        """The invariant `verdict`'s witness rests on: the first cube, with
+        true over the atoms it leaves unbound, is the lexicographically
+        first model, and the two are None together."""
+        rng = random.Random(7011)
+        inputs = [TRUE, FALSE, parse("!(true & false)"), parse("false | (true -> false)")]
+        for _ in range(2000):
+            pool = atom_pool(rng.randint(1, 10))
+            inputs.append(random_formula(rng, pool, rng.randint(0, 7),
+                                         const_chance=rng.choice((0.05, 0.05, 0.3, 1.0))))
+        shapes = collections.Counter()
+        for g in inputs:
+            cube, first = dpll_first_assignment(g), first_satisfying(g)
+            shapes[len(atoms(g)), first is None] += 1
+            if cube is None or first is None:
+                assert cube is first is None, g
+                continue
+            assert cube.domain <= atoms(g), g
+            assert Assignment({a: cube.value(a) is not False for a in atoms(g)}) == first, g
+        assert {n for n, _ in shapes} == set(range(11))
+        assert sum(shapes[n, False] for n in range(1, 11)) > 1000
+        assert shapes[0, True] and shapes[0, False]
 
     def test_matches_recursive_walker(self, monkeypatch):
         """Same cubes in the same order and the same branches spent.  A
